@@ -1,11 +1,17 @@
-"""Backdoor analysis: path enumeration, adjustment sets, confounder augmentation.
+"""Backdoor analysis: adjustment sets, confounder augmentation, path listing.
 
 The criterion used throughout is the classic backdoor criterion: a candidate
 set is a valid adjustment set for (treatment, outcome) when it contains no
 descendant of the treatment and blocks every backdoor path, i.e. every
-undirected path whose first edge points into the treatment.  Graphs in this
-problem domain are small (tens of nodes), so set enumeration is exhaustive
-by increasing size, pruning supersets of sets already found.
+undirected path whose first edge points into the treatment.  Validity is
+decided without listing paths, as d-separation of treatment and outcome in
+the backdoor graph (the DAG without the treatment's outgoing edges).
+Minimal sets are found by scanning subsets by increasing size, pruning
+supersets of sets already found, over the ancestral pool: the ancestors of
+treatment and outcome that are not descendants of the treatment, which holds
+every minimal set (van der Zander, Liskiewicz & Textor, 2019).  The scan runs
+only after the whole pool is confirmed to separate, since some subset of it
+separates exactly when the pool itself does.
 """
 
 from __future__ import annotations
@@ -13,9 +19,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable
 
-from .dag import CausalDag, DagError, ancestors, descendants
+from .dag import (
+    CausalDag,
+    DagError,
+    SeparationQuery,
+    ancestors,
+    descendants,
+    is_d_separated,
+)
 
 __all__ = [
     "AdjustmentReport",
@@ -47,7 +60,9 @@ class CausalQuery:
 def backdoor_paths(query: CausalQuery) -> list[tuple[str, ...]]:
     """All simple undirected treatment-outcome paths entering the treatment.
 
-    Returned shortest first, ties broken lexicographically.
+    Returned shortest first, ties broken lexicographically.  Explanatory
+    only: the path count grows exponentially with graph size, and nothing
+    in the package decides validity from this list.
     """
     dag = query.dag
     neighbors = {
@@ -71,26 +86,14 @@ def backdoor_paths(query: CausalQuery) -> list[tuple[str, ...]]:
     return sorted(paths, key=lambda p: (len(p), p))
 
 
-def _path_blocked(
-    dag: CausalDag,
-    path: Sequence[str],
-    given: AbstractSet[str],
-    open_collider: AbstractSet[str],
-) -> bool:
-    for a, mid, b in zip(path, path[1:], path[2:]):
-        if (a, mid) in dag.edges and (b, mid) in dag.edges:
-            if mid not in open_collider:
-                return True
-        elif mid in given:
-            return True
-    return False
-
-
-def _open_colliders(dag: CausalDag, given: AbstractSet[str]) -> set[str]:
-    opened = set(given)
-    for z in given:
-        opened.update(ancestors(dag, z))
-    return opened
+def _backdoor_graph(query: CausalQuery) -> CausalDag:
+    """The DAG without the treatment's outgoing edges."""
+    dag = query.dag
+    return CausalDag(
+        nodes=dag.nodes,
+        edges=frozenset(e for e in dag.edges if e[0] != query.treatment),
+        latent=dag.latent,
+    )
 
 
 def is_valid_adjustment(query: CausalQuery, adjustment: Iterable[str]) -> bool:
@@ -102,11 +105,8 @@ def is_valid_adjustment(query: CausalQuery, adjustment: Iterable[str]) -> bool:
         raise DagError("adjustment set may not contain the treatment or outcome")
     if adjustment & descendants(query.dag, query.treatment):
         return False
-    opened = _open_colliders(query.dag, adjustment)
-    return all(
-        _path_blocked(query.dag, path, adjustment, opened)
-        for path in backdoor_paths(query)
-    )
+    separation = SeparationQuery(query.treatment, query.outcome, adjustment)
+    return is_d_separated(_backdoor_graph(query), separation)
 
 
 def minimal_adjustment_sets(
@@ -118,20 +118,23 @@ def minimal_adjustment_sets(
     An empty list means no valid set exists under the constraint; a single
     empty set means no adjustment is needed.
     """
-    dag = query.dag
-    pool = dag.nodes - {query.treatment, query.outcome} - descendants(dag, query.treatment)
+    dag, t, y = query.dag, query.treatment, query.outcome
+    backdoor = _backdoor_graph(query)
+    # Every minimal separator lies among the ancestors of t and y.
+    pool = (ancestors(dag, t) | ancestors(dag, y)) - {t, y} - descendants(dag, t)
     if observed_only:
         pool -= dag.latent
+    # Some subset of the pool separates exactly when the whole pool does.
+    if not is_d_separated(backdoor, SeparationQuery(t, y, pool)):
+        return []
     candidates = sorted(pool)
-    paths = backdoor_paths(query)
     found: list[frozenset[str]] = []
     for size in range(len(candidates) + 1):
         for combo in combinations(candidates, size):
             subset = frozenset(combo)
             if any(prior <= subset for prior in found):
                 continue
-            opened = _open_colliders(dag, subset)
-            if all(_path_blocked(dag, p, subset, opened) for p in paths):
+            if is_d_separated(backdoor, SeparationQuery(t, y, subset)):
                 found.append(subset)
     return found
 

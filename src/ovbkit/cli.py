@@ -16,7 +16,6 @@ otherwise.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -35,7 +34,7 @@ from .adjustment import (
     minimal_adjustment_sets,
 )
 from .dag import parse_dag
-from .scm import load_sweep_config, run_sweep
+from .scm import parse_sweep_config, run_sweep
 from .sensitivity import (
     EValueInput,
     evalue_curve,
@@ -45,7 +44,7 @@ from .sensitivity import (
     tip_outcome_effect,
     tip_smd,
 )
-from .stats import StatsError, ols_fit, read_csv, scaled_mean_diff
+from .stats import StatsError, csv_rows, ols_fit, parse_csv_bytes, scaled_mean_diff
 
 _WORKFLOW = (
     "study-planning workflow: (1) survey variables, (2) draw the causal DAG, "
@@ -88,6 +87,7 @@ class RunManifest:
         self.timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
     def add_input(self, path: str | Path) -> bytes:
+        """Read ``path`` once and record the sha256 of the bytes it returns."""
         data = Path(path).read_bytes()
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         return data
@@ -225,7 +225,7 @@ def cmd_evalue(args) -> int:
             raise UsageError("--fit conflicts with --estimate/--sigma/--se")
         if args.outcome is None or args.treatment is None:
             raise UsageError("--fit requires --outcome and --treatment")
-        data = read_csv_manifest(args.fit, manifest)
+        data = parse_csv_bytes(manifest.add_input(args.fit))
         covariates = _split(args.covariates)
         fit = ols_fit(data, args.outcome, [args.treatment, *covariates])
         estimate = fit.coefficients[args.treatment]
@@ -268,15 +268,9 @@ def cmd_evalue(args) -> int:
     return 0
 
 
-def read_csv_manifest(path: str, manifest: RunManifest):
-    manifest.add_input(path)
-    return read_csv(path)
-
-
 def cmd_simulate(args) -> int:
     manifest = RunManifest("simulate")
-    manifest.add_input(args.config)
-    config = load_sweep_config(args.config)
+    config = parse_sweep_config(manifest.add_input(args.config).decode("utf-8"))
     manifest.seed = config.seed
     result = run_sweep(config)
     csv_text = result.to_csv()
@@ -295,7 +289,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     manifest = RunManifest("fit")
-    data = read_csv_manifest(args.csv_file, manifest)
+    data = parse_csv_bytes(manifest.add_input(args.csv_file))
     fit = ols_fit(data, args.outcome, _split(args.predictors))
     lines = [f"n = {fit.n}", f"intercept = {fit.intercept:.6g}"]
     for name in fit.coefficients:
@@ -309,8 +303,8 @@ def cmd_fit(args) -> int:
 
 def cmd_smd(args) -> int:
     manifest = RunManifest("smd")
-    manifest.add_input(args.csv_file)
-    values, labels = _read_value_group_csv(args.csv_file, args.value, args.group)
+    data = manifest.add_input(args.csv_file)
+    values, labels = _read_value_group_csv(data, args.value, args.group)
     diff = scaled_mean_diff(values, labels, args.treat, args.ref)
     payload = {
         "value_column": args.value,
@@ -323,31 +317,30 @@ def cmd_smd(args) -> int:
     return 0
 
 
-def _read_value_group_csv(path: str, value_col: str, group_col: str):
+def _read_value_group_csv(data: bytes, value_col: str, group_col: str):
     # The group column holds arbitrary tags, so this cannot go through the
     # all-numeric Dataset loader.
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+    reader = csv_rows(data)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise StatsError("empty CSV: missing header row") from None
+    for name in (value_col, group_col):
+        if name not in header:
+            raise StatsError(f"unknown column {name!r}")
+    vi, gi = header.index(value_col), header.index(group_col)
+    values, labels = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise StatsError("empty CSV: missing header row") from None
-        for name in (value_col, group_col):
-            if name not in header:
-                raise StatsError(f"unknown column {name!r}")
-        vi, gi = header.index(value_col), header.index(group_col)
-        values, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                value = float(row[vi])
-            except (ValueError, IndexError):
-                raise StatsError(f"line {lineno}: bad value in column {value_col!r}") from None
-            if not math.isfinite(value):
-                raise StatsError(f"line {lineno}: non-finite value in {value_col!r}")
-            values.append(value)
-            labels.append(row[gi])
+            value = float(row[vi])
+        except (ValueError, IndexError):
+            raise StatsError(f"line {lineno}: bad value in column {value_col!r}") from None
+        if not math.isfinite(value):
+            raise StatsError(f"line {lineno}: non-finite value in {value_col!r}")
+        values.append(value)
+        labels.append(row[gi])
     return values, labels
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -323,37 +324,32 @@ def is_d_separated(dag: CausalDag, query: SeparationQuery) -> bool:
 
     Blocking follows the usual rules: a chain or fork is blocked when its
     middle node is conditioned on; a collider blocks unless it, or one of its
-    descendants, is conditioned on.  Implemented as an active-trail
-    reachability sweep, which is linear in the number of edges.
+    descendants, is conditioned on.  Implemented as Shachter's Bayes-ball
+    sweep over (direction, node) states, which is linear in the number of
+    edges and needs no ancestor sets.
     """
     for name in (query.x, query.y, *query.given):
         dag.require(name)
     given = query.given
-    # Colliders stay passable when they have a conditioned descendant.
-    open_collider = set(given)
-    for z in given:
-        open_collider.update(ancestors(dag, z))
-
-    # States tag how the trail arrived at a node: "down" along an edge into
-    # it (u -> v), "up" against an edge out of it (u <- v).
-    start = [("down", c) for c in dag.children(query.x)]
-    start += [("up", p) for p in dag.parents(query.x)]
+    parents, children = dag._parent_map, dag._child_map
+    # A state tags how the trail arrived at a node: down (True) along an edge
+    # into it (u -> v), up (False) against an edge out of it (u <- v).  A trail
+    # arriving down at a conditioned node bounces back up to its parents; the
+    # bounce is what opens a collider that has a conditioned descendant.
+    # Breadth-first, so an open trail to y is found after the fewest states.
+    start = [(True, c) for c in children[query.x]]
+    start += [(False, p) for p in parents[query.x]]
     seen = set(start)
-    frontier = list(start)
+    frontier = deque(start)
     while frontier:
-        mode, node = frontier.pop()
+        down, node = frontier.popleft()
         if node == query.y:
             return False
-        moves: list[tuple[str, str]] = []
-        if mode == "down":
-            if node not in given:  # chain u -> v -> c
-                moves += [("down", c) for c in dag.children(node)]
-            if node in open_collider:  # collider u -> v <- p
-                moves += [("up", p) for p in dag.parents(node)]
-        else:
-            if node not in given:  # fork u <- v -> c, chain u <- v <- p
-                moves += [("down", c) for c in dag.children(node)]
-                moves += [("up", p) for p in dag.parents(node)]
+        moves: list[tuple[bool, str]] = []
+        if node not in given:  # chain u -> v -> c, fork u <- v -> c
+            moves += [(True, c) for c in children[node]]
+        if down == (node in given):  # chain u <- v <- p, collider u -> v <- p
+            moves += [(False, p) for p in parents[node]]
         for state in moves:
             if state not in seen:
                 seen.add(state)

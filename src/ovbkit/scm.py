@@ -4,8 +4,8 @@ Sampling is bit-reproducible: the random source is numpy's counter-based
 Philox generator, normal variates are produced by inverse-CDF transform of
 uniforms (one uniform per variate), and nodes are always sampled in the DAG's
 topological order.  Sweeps derive one seed per repetition from the tuple
-(config seed, grid-point index, sample-size index, repetition index), so the
-result never depends on scheduling or thread count.
+(config seed, grid-point index, sample-size index, repetition index), so a
+cell's result never depends on which other cells are run.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Union
@@ -427,16 +425,14 @@ def _treatment_estimate(
     return None
 
 
-def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
+def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full simulation sweep described by ``config``.
 
     For every grid point and sample size the model is sampled and refit
     ``config.repetitions`` times; the tracked coefficient's mean and its 50%
     and 95% HPD intervals are summarized per cell.  Results are bit-identical
-    for a given config regardless of ``threads``.
+    across runs of the same config.
     """
-    if threads is None:
-        threads = _threads_from_env()
     points = config.grid_points()
     specs = [
         config.template.bind({**config.fixed, **dict(zip(config.grid_names, point))})
@@ -472,21 +468,8 @@ def run_sweep(config: SweepConfig, threads: int | None = None) -> SweepResult:
             failures,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = tuple(pool.map(run_cell, tasks))
-    else:
-        cells = tuple(run_cell(task) for task in tasks)
+    cells = tuple(run_cell(task) for task in tasks)
     return SweepResult(config.grid_names, config.sample_sizes, config.repetitions, cells)
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("OVBKIT_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ScmError(f"OVBKIT_THREADS must be an integer, got {raw!r}") from None
-    return max(1, threads)
 
 
 def expected_treatment_estimate(t_e: float, z_e: float, z_t: float) -> float:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -99,13 +99,25 @@ def read_csv(source: str | Path) -> Dataset:
     Every body cell must parse as a finite number; NaN and infinity tokens
     are rejected.
     """
-    path = Path(source)
-    with path.open(newline="") as handle:
-        return _parse_csv(csv.reader(handle))
+    return parse_csv_bytes(Path(source).read_bytes())
 
 
 def parse_csv_text(text: str) -> Dataset:
     return _parse_csv(csv.reader(io.StringIO(text)))
+
+
+def parse_csv_bytes(data: bytes) -> Dataset:
+    """:func:`read_csv` on the UTF-8 bytes of a CSV file already in memory."""
+    return _parse_csv(csv_rows(data))
+
+
+def csv_rows(data: bytes) -> Iterator[list[str]]:
+    """CSV rows of UTF-8 ``data``, read as a file opened with ``newline=""``.
+
+    The bytes are decoded as they are read; an ``io.StringIO`` over the
+    decoded text would first copy it at four bytes per character.
+    """
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
 
 
 def _parse_csv(reader) -> Dataset:
@@ -203,14 +215,11 @@ def _cholesky_spd(matrix: np.ndarray) -> np.ndarray:
 
 
 def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients and (XtX)^-1 via Cholesky on the normal equations."""
-    xtx = design.T @ design
-    lower = _cholesky_spd(xtx)
+    """Least-squares coefficients and the lower Cholesky factor L of XtX = L Lt."""
+    lower = _cholesky_spd(design.T @ design)
     rhs = design.T @ response
     coef = solve_triangular(lower.T, solve_triangular(lower, rhs, lower=True), lower=False)
-    eye = np.eye(xtx.shape[0])
-    inv = solve_triangular(lower.T, solve_triangular(lower, eye, lower=True), lower=False)
-    return coef, inv
+    return coef, lower
 
 
 def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult:
@@ -233,7 +242,8 @@ def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult
     design[:, 0] = 1.0
     for i, name in enumerate(predictors, start=1):
         design[:, i] = data.column(name)
-    coef, inv = solve_normal_equations(design, y)
+    coef, lower = solve_normal_equations(design, y)
+    inv = solve_triangular(lower.T, solve_triangular(lower, np.eye(p), lower=True), lower=False)
     residuals = y - design @ coef
     sigma2 = float(residuals @ residuals) / (n - p)
     sigma = math.sqrt(sigma2)

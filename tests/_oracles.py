@@ -14,7 +14,7 @@ import random
 
 from ovbkit.dag import CausalDag
 
-_NAMES = list("ABCDEFGH")
+_NAMES = list("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def undirected_paths(dag: CausalDag, start: str, end: str) -> list[tuple[str, ...]]:
@@ -113,8 +113,10 @@ def minimal_sets_oracle(
     return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def random_dag(rng: random.Random, max_nodes: int = 6, edge_prob: float = 0.4) -> CausalDag:
-    count = rng.randint(2, max_nodes)
+def random_dag(
+    rng: random.Random, max_nodes: int = 6, edge_prob: float = 0.4, min_nodes: int = 2
+) -> CausalDag:
+    count = rng.randint(min_nodes, max_nodes)
     names = _NAMES[:count]
     order = names[:]
     rng.shuffle(order)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -16,7 +17,13 @@ from ovbkit.fixtures import fixture_text
 from ovbkit.scm import LinearGaussian, build_scm, sample
 from ovbkit.stats import ols_fit
 
-from _oracles import directed_paths, minimal_sets_oracle, random_dag
+from _oracles import (
+    closure_below,
+    directed_paths,
+    minimal_sets_oracle,
+    random_dag,
+    valid_adjustment_oracle,
+)
 
 TRIANGLE = CausalDag.from_edges([("Z", "X"), ("Z", "Y"), ("X", "Y")])
 NO_BACKDOOR = CausalDag.from_edges([("X", "Y"), ("Z", "Y")])
@@ -64,6 +71,20 @@ class TestValidity:
             is_valid_adjustment(fig3_query, {"T"})
         with pytest.raises(DagError):
             is_valid_adjustment(fig3_query, {"E", "O"})
+
+    def test_agrees_with_validity_oracle(self):
+        rng = random.Random(5150)
+        for _ in range(60):
+            dag = random_dag(rng)
+            t, y = rng.sample(sorted(dag.nodes), 2)
+            query = CausalQuery(dag, t, y)
+            others = sorted(dag.nodes - {t, y})
+            for size in range(len(others) + 1):
+                for combo in itertools.combinations(others, size):
+                    subset = frozenset(combo)
+                    assert is_valid_adjustment(query, subset) == valid_adjustment_oracle(
+                        dag, t, y, subset
+                    )
 
 
 class TestMinimalSets:
@@ -139,6 +160,30 @@ class TestMinimalSets:
                 truth = weights[outcome][treatment]
                 assert abs(estimate - truth) <= 3 * error
             checked += 1
+
+    def test_agrees_with_networkx_on_larger_graphs(self):
+        # Beyond the subset oracle's reach: every listed set must be a minimal
+        # separator of the backdoor graph within the allowed pool, and the
+        # list may be empty only when no separator exists there.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2019)
+        for _ in range(20):
+            dag = random_dag(rng, max_nodes=20, edge_prob=0.25, min_nodes=16)
+            t, y = rng.sample(sorted(dag.nodes), 2)
+            query = CausalQuery(dag, t, y)
+            backdoor = nx.DiGraph([e for e in dag.edges if e[0] != t])
+            backdoor.add_nodes_from(dag.nodes)
+            for observed_only in (False, True):
+                pool = dag.nodes - {t, y} - closure_below(dag, t)
+                if observed_only:
+                    pool -= dag.latent
+                found = minimal_adjustment_sets(query, observed_only)
+                for adjustment in found:
+                    assert nx.is_minimal_d_separator(
+                        backdoor, t, y, adjustment, restricted=pool
+                    )
+                separator = nx.find_minimal_d_separator(backdoor, t, y, restricted=pool)
+                assert (not found) == (separator is None)
 
 
 class TestAugmentation:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -246,6 +248,40 @@ class TestSimulate:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", str(tmp_path / "nope.conf"))
         assert code == 1
+
+
+class TestPipedInput:
+    """Inputs are read once, so a pipe analyses and hashes the same bytes."""
+
+    def ovbkit(self, *argv, stdin: bytes):
+        return subprocess.run(
+            [sys.executable, "-m", "ovbkit", *argv], input=stdin, capture_output=True
+        )
+
+    def test_fit_from_stdin(self, tmp_path):
+        data = b"x,y\n0,1\n1,3\n2,5\n3,7.5\n"
+        csv_path = tmp_path / "line.csv"
+        csv_path.write_bytes(data)
+        argv = ("--outcome", "y", "--predictors", "x", "--json")
+        piped = self.ovbkit("fit", "/dev/stdin", *argv, stdin=data)
+        assert piped.returncode == 0, piped.stderr.decode()
+        direct = self.ovbkit("fit", str(csv_path), *argv, stdin=b"")
+        payload, expected = json.loads(piped.stdout), json.loads(direct.stdout)
+        assert payload.pop("manifest")["inputs"] == {
+            "/dev/stdin": hashlib.sha256(data).hexdigest()
+        }
+        expected.pop("manifest")
+        assert payload == expected
+
+    def test_simulate_from_stdin(self, tmp_path):
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG)
+        piped = self.ovbkit("simulate", "/dev/stdin", stdin=SMALL_CONFIG.encode())
+        assert piped.returncode == 0, piped.stderr.decode()
+        direct = self.ovbkit("simulate", str(config), stdin=b"")
+        assert piped.stdout == direct.stdout
+        digest = hashlib.sha256(SMALL_CONFIG.encode()).hexdigest()
+        assert f"# input /dev/stdin sha256={digest}" in piped.stderr.decode()
 
 
 class TestFitAndSmd:
