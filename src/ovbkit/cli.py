@@ -16,6 +16,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -279,8 +280,7 @@ def cmd_simulate(args) -> int:
         out.write_text(csv_text)
         Path(f"{out}.manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")
     else:
-        print(csv_text, end="")
-        manifest.print_stderr()
+        _emit(result.to_json_dict(), csv_text, manifest, args.json)
     if all(cell.failed for cell in result.cells):
         print("error: every sweep cell failed to produce estimates", file=sys.stderr)
         return 1
@@ -435,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

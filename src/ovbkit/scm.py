@@ -1,16 +1,15 @@
 """Structural causal models: mechanisms, seeded sampling, and sensitivity sweeps.
 
-Sampling is bit-reproducible: the random source is numpy's counter-based
-Philox generator, normal variates are produced by inverse-CDF transform of
-uniforms (one uniform per variate), and nodes are always sampled in the DAG's
-topological order.  Sweeps derive one seed per repetition from the tuple
+Sampling is bit-reproducible for a given numpy version: the random source is
+numpy's counter-based Philox generator, normal variates come from its
+``standard_normal``, and nodes are always sampled in the DAG's topological
+order.  Sweeps derive one seed per repetition from the tuple
 (config seed, grid-point index, sample-size index, repetition index), so a
 cell's result never depends on which other cells are run.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import re
@@ -19,7 +18,6 @@ from pathlib import Path
 from typing import Mapping, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .dag import CausalDag, topological_order
 from .stats import (
@@ -55,6 +53,7 @@ __all__ = [
 SeedLike = Union[int, np.random.SeedSequence]
 
 _MAX_DRAW_ATTEMPTS = 4  # one draw plus up to three redraws per repetition
+_CELL_COLUMNS = ("n", "mean", "l50", "u50", "l95", "u95", "failures")
 
 
 class ScmError(ValueError):
@@ -140,12 +139,6 @@ def _rng_from(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    # Inverse-CDF transform: exactly one uniform per variate, which keeps the
-    # Philox counter layout independent of the values drawn.
-    return ndtri(np.maximum(rng.random(n), 1e-300))
-
-
 def _sample_columns(spec: ScmSpec, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     columns: dict[str, np.ndarray] = {}
     for node in spec.order:
@@ -156,7 +149,7 @@ def _sample_columns(spec: ScmSpec, n: int, rng: np.random.Generator) -> dict[str
             mean = np.full(n, float(mech.intercept))
             for parent in sorted(mech.weights):
                 mean += mech.weights[parent] * columns[parent]
-            columns[node] = mean + mech.sd * _standard_normal(rng, n)
+            columns[node] = mean + mech.sd * rng.standard_normal(n)
     return columns
 
 
@@ -370,25 +363,29 @@ class SweepResult:
                 return cell
         raise KeyError(f"no cell with n={n} and {params}")
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join([*self.grid_names, "n", "mean", "l50", "u50", "l95", "u95", "failures"]))
-        buf.write("\n")
+    def _rows(self) -> list[tuple]:
+        """Per cell: the grid values, then ``_CELL_COLUMNS`` (None where a
+        failed cell has no estimate)."""
+        rows = []
         for cell in self.cells:
-            fields = [repr(cell.params[name]) for name in self.grid_names]
-            fields.append(str(cell.n))
-            if cell.failed:
-                fields += [""] * 5
-            else:
-                fields += [
-                    repr(cell.mean),
-                    repr(cell.hpdi50.low), repr(cell.hpdi50.high),
-                    repr(cell.hpdi95.low), repr(cell.hpdi95.high),
-                ]
-            fields.append(str(cell.failures))
-            buf.write(",".join(fields))
-            buf.write("\n")
-        return buf.getvalue()
+            estimates = (None,) * 5 if cell.failed else (
+                cell.mean, cell.hpdi50.low, cell.hpdi50.high, cell.hpdi95.low, cell.hpdi95.high
+            )
+            grid = (cell.params[name] for name in self.grid_names)
+            rows.append((*grid, cell.n, *estimates, cell.failures))
+        return rows
+
+    def to_json_dict(self) -> dict:
+        k = len(self.grid_names)
+        return {"cells": [
+            {"params": dict(zip(self.grid_names, row[:k])), **dict(zip(_CELL_COLUMNS, row[k:]))}
+            for row in self._rows()
+        ]}
+
+    def to_csv(self) -> str:
+        lines = [",".join([*self.grid_names, *_CELL_COLUMNS])]
+        lines += [",".join("" if v is None else repr(v) for v in row) for row in self._rows()]
+        return "\n".join(lines) + "\n"
 
 
 def _treatment_estimate(
@@ -567,4 +564,4 @@ def _floats(value: str, lineno: int) -> tuple[float, ...]:
 
 
 def load_sweep_config(path: str | Path, template: ScmTemplate | None = None) -> SweepConfig:
-    return parse_sweep_config(Path(path).read_text(), template)
+    return parse_sweep_config(Path(path).read_bytes().decode("utf-8"), template)

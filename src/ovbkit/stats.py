@@ -1,9 +1,9 @@
 """Tabular datasets, least-squares fits, HPD intervals, and group differences.
 
 The regression here is plain ordinary least squares with analytic standard
-errors.  The normal equations are solved through an unpivoted Cholesky
-factorization with a relative pivot threshold of 1e-10, which doubles as the
-rank-deficiency check.
+errors.  The normal equations are solved through numpy's (LAPACK's) Cholesky
+factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
+diagonal entry of XtX counts as rank deficiency.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "Dataset",
@@ -196,29 +195,21 @@ class FitResult:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _cholesky_spd(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; raises RankDeficiencyError on a tiny pivot."""
-    a = np.asarray(matrix, dtype=float)
-    k = a.shape[0]
-    lower = np.zeros_like(a)
-    scale = float(np.max(np.abs(np.diag(a)), initial=0.0))
-    for j in range(k):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= scale * _PIVOT_RTOL:
-            raise RankDeficiencyError(
-                "design matrix is rank deficient (collinear predictors)"
-            )
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < k:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
-
-
 def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients and the lower Cholesky factor L of XtX = L Lt."""
-    lower = _cholesky_spd(design.T @ design)
-    rhs = design.T @ response
-    coef = solve_triangular(lower.T, solve_triangular(lower, rhs, lower=True), lower=False)
+    """Least-squares coefficients and the lower Cholesky factor L of XtX = L Lt.
+
+    Raises :class:`RankDeficiencyError` when XtX is not positive definite or
+    its smallest pivot ``diag(L)**2`` is at most 1e-10 times its largest
+    diagonal entry.
+    """
+    gram = design.T @ design
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        lower = None
+    if lower is None or np.min(np.diag(lower)) ** 2 <= _PIVOT_RTOL * np.max(np.diag(gram)):
+        raise RankDeficiencyError("design matrix is rank deficient (collinear predictors)")
+    coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ response))
     return coef, lower
 
 
@@ -243,7 +234,7 @@ def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult
     for i, name in enumerate(predictors, start=1):
         design[:, i] = data.column(name)
     coef, lower = solve_normal_equations(design, y)
-    inv = solve_triangular(lower.T, solve_triangular(lower, np.eye(p), lower=True), lower=False)
+    inv = np.linalg.solve(lower.T, np.linalg.solve(lower, np.eye(p)))
     residuals = y - design @ coef
     sigma2 = float(residuals @ residuals) / (n - p)
     sigma = math.sqrt(sigma2)

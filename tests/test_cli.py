@@ -238,6 +238,25 @@ class TestSimulate:
         assert out.startswith("t_e,")
         assert "# run command=simulate" in err
 
+    def test_json_payload_matches_csv(self, capsys, tmp_path):
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG)
+        code, out, _ = run(capsys, "simulate", str(config), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["manifest"]["seed"] == 424242
+        assert payload["manifest"]["inputs"] == {
+            str(config): hashlib.sha256(SMALL_CONFIG.encode()).hexdigest()
+        }
+        (cell,) = payload["cells"]
+        assert cell["params"] == {"t_e": 0.3, "z_e": 0.0, "z_t": 0.0}
+        code, out, _ = run(capsys, "simulate", str(config))
+        header, row = out.splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        for key in ("mean", "l50", "u50", "l95", "u95"):
+            assert cell[key] == float(fields[key])
+        assert (cell["n"], cell["failures"]) == (int(fields["n"]), int(fields["failures"]))
+
     def test_config_error(self, capsys, tmp_path):
         config = tmp_path / "broken.conf"
         config.write_text("nonsense\n")
@@ -284,6 +303,26 @@ class TestPipedInput:
         assert f"# input /dev/stdin sha256={digest}" in piped.stderr.decode()
 
 
+class TestDependencies:
+    def test_runs_without_scipy(self, tmp_path):
+        csv_path = tmp_path / "line.csv"
+        csv_path.write_text("x,y\n0,1\n1,3\n2,5\n3,7.5\n")
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG.replace("repetitions = 60", "repetitions = 5"))
+        script = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from ovbkit.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        for argv in (
+            ("fit", str(csv_path), "--outcome", "y", "--predictors", "x"),
+            ("simulate", str(config)),
+        ):
+            done = subprocess.run(
+                [sys.executable, "-c", script, *argv], capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+
+
 class TestFitAndSmd:
     def test_fit_recovers_triangle_coefficients(self, capsys, tmp_path):
         data = sample(confounded_scm(), 100_000, seed=404)
@@ -313,6 +352,20 @@ class TestFitAndSmd:
                            "--predictors", "x,x2")
         assert code == 1
         assert "rank deficient" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--outcome", "y", "--predictors", "t"),
+        ("smd", "--value", "y", "--group", "t", "--treat", "a", "--ref", "b"),
+    ])
+    def test_oversized_field_is_one_line_error(self, capsys, tmp_path, argv):
+        # csv's default field limit is 131,072 characters.
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("y,t\n1," + "x" * 200_000 + "\n")
+        code, out, err = run(capsys, argv[0], str(csv_path), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "field limit" in err
 
     def test_smd_identical_groups(self, capsys, tmp_path):
         csv_path = tmp_path / "groups.csv"

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -178,6 +182,20 @@ class TestConfigParsing:
         with pytest.raises(ScmError):
             parse_sweep_config(SMALL_CONFIG + "\nseed = 1")
 
+    def test_config_file_is_utf8_in_any_locale(self, tmp_path):
+        path = tmp_path / "sweep.conf"
+        path.write_bytes(("# effort model, café sample\n" + SMALL_CONFIG).encode("utf-8"))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        script = (
+            "import sys; from ovbkit.scm import load_sweep_config; "
+            "print(load_sweep_config(sys.argv[1]).seed)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "99"
+
 
 class TestSweep:
     def test_deterministic_across_reruns(self):
@@ -241,6 +259,10 @@ class TestSweep:
         assert cell.failures == 20
         csv_line = result.to_csv().splitlines()[1]
         assert csv_line == "0.4,25,,,,,,20"
+        assert result.to_json_dict() == {"cells": [{
+            "params": {"t": 0.4}, "n": 25, "mean": None, "l50": None, "u50": None,
+            "l95": None, "u95": None, "failures": 20,
+        }]}
 
     def test_occasional_failures_are_counted_not_fatal(self):
         # p = 0.89 at n = 7 degenerates often enough that some repetitions

@@ -121,6 +121,37 @@ class TestOls:
         assert fit.std_errors["x2"] == pytest.approx(reference.bse[2], abs=1e-10)
         assert fit.sigma == pytest.approx(np.sqrt(reference.mse_resid), abs=1e-10)
 
+    def test_agrees_with_numpy_lstsq(self):
+        rng = np.random.default_rng(8)
+        x1, x2 = rng.normal(size=300), rng.normal(size=300)
+        y = 0.5 + 1.2 * x1 - 0.4 * x2 + rng.normal(size=300)
+        fit = ols_fit(make_dataset(x1=x1, x2=x2, y=y), "y", ["x1", "x2"])
+        design = np.column_stack([np.ones(300), x1, x2])
+        coef, rss, _, _ = np.linalg.lstsq(design, y, rcond=None)
+        sigma2 = rss[0] / (300 - 3)
+        # (XtX)^-1 = pinv(X) pinv(X)t, so the SVD path gives independent errors.
+        errors = np.sqrt(sigma2 * np.sum(np.linalg.pinv(design) ** 2, axis=1))
+        assert fit.intercept == pytest.approx(coef[0], abs=1e-10)
+        assert fit.coefficients["x1"] == pytest.approx(coef[1], abs=1e-10)
+        assert fit.coefficients["x2"] == pytest.approx(coef[2], abs=1e-10)
+        assert fit.std_errors["x1"] == pytest.approx(errors[1], abs=1e-10)
+        assert fit.std_errors["x2"] == pytest.approx(errors[2], abs=1e-10)
+        assert fit.sigma == pytest.approx(np.sqrt(sigma2), abs=1e-10)
+
+    @pytest.mark.parametrize("noise, collinear", [(1e-9, True), (1e-3, False)])
+    def test_relative_pivot_rule_on_near_collinear_columns(self, noise, collinear):
+        # The second column's pivot is about n * noise**2 against a largest
+        # diagonal of about n, so 1e-9 falls under the 1e-10 rule and 1e-3 does not.
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=200)
+        data = make_dataset(x=x, x2=x + noise * rng.normal(size=200), y=x + rng.normal(size=200))
+        if collinear:
+            with pytest.raises(RankDeficiencyError):
+                ols_fit(data, "y", ["x", "x2"])
+        else:
+            fit = ols_fit(data, "y", ["x", "x2"])
+            assert np.isfinite(fit.std_errors["x2"])
+
     def test_rank_deficiency_detected(self):
         x = np.arange(10.0)
         data = make_dataset(x=x, x2=2 * x, y=x + 1)
