@@ -226,8 +226,9 @@ def edge_confounder_report(query: CausalQuery) -> AdjustmentReport:
     for edge in sorted(query.dag.edges):
         augmented = augment_with_confounder(query.dag, edge)
         sub = CausalQuery(augmented, query.treatment, query.outcome)
-        with_latents = minimal_adjustment_sets(sub, observed_only=False)
-        observed = minimal_adjustment_sets(sub, observed_only=True)
+        with_latents = minimal_adjustment_sets(sub)
+        # A minimal set with no latent node is also minimal among observed sets.
+        observed = [s for s in with_latents if not s & augmented.latent]
         entries.append(
             EdgeEntry(
                 edge=edge,

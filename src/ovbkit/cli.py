@@ -20,6 +20,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -45,7 +46,7 @@ from .sensitivity import (
     tip_outcome_effect,
     tip_smd,
 )
-from .stats import StatsError, csv_rows, ols_fit, parse_csv_bytes, scaled_mean_diff
+from .stats import ols_fit, parse_csv_bytes, parse_value_groups, scaled_mean_diff
 
 _WORKFLOW = (
     "study-planning workflow: (1) survey variables, (2) draw the causal DAG, "
@@ -88,8 +89,8 @@ class RunManifest:
         self.timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
     def add_input(self, path: str | Path) -> bytes:
-        """Read ``path`` once and record the sha256 of the bytes it returns."""
-        data = Path(path).read_bytes()
+        """Read ``path`` (``-`` for stdin) once and record the sha256 of its bytes."""
+        data = sys.stdin.buffer.read() if str(path) == "-" else Path(path).read_bytes()
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         return data
 
@@ -112,15 +113,15 @@ class RunManifest:
 
 def _emit(payload: dict, text: str, manifest: RunManifest, as_json: bool) -> None:
     if as_json:
-        print(json.dumps({**payload, "manifest": manifest.to_dict()}, indent=2))
+        print(json.dumps({**payload, "manifest": manifest.to_dict()}, indent=2), flush=True)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text, end="" if text.endswith("\n") else "\n", flush=True)
         manifest.print_stderr()
 
 
 def _load_dag(args, manifest: RunManifest):
     data = manifest.add_input(args.dag_file)
-    dag = parse_dag(data.decode("utf-8"))
+    dag = parse_dag(data.decode("utf-8-sig"))
     treatment = args.treatment or dag.treatment
     outcome = args.outcome or dag.outcome
     if treatment is None or outcome is None:
@@ -134,8 +135,8 @@ def _load_dag(args, manifest: RunManifest):
 def cmd_adjust(args) -> int:
     manifest = RunManifest("adjust")
     query = _load_dag(args, manifest)
-    observed = minimal_adjustment_sets(query, observed_only=True)
-    with_latents = minimal_adjustment_sets(query, observed_only=False)
+    with_latents = minimal_adjustment_sets(query)
+    observed = [s for s in with_latents if not s & query.dag.latent]
     shown = with_latents if args.with_latents else observed
     scope = "latent nodes allowed" if args.with_latents else "observed nodes only"
     lines = [f"minimal adjustment sets for {query.treatment} -> {query.outcome} ({scope}):"]
@@ -271,7 +272,7 @@ def cmd_evalue(args) -> int:
 
 def cmd_simulate(args) -> int:
     manifest = RunManifest("simulate")
-    config = parse_sweep_config(manifest.add_input(args.config).decode("utf-8"))
+    config = parse_sweep_config(manifest.add_input(args.config).decode("utf-8-sig"))
     manifest.seed = config.seed
     result = run_sweep(config)
     csv_text = result.to_csv()
@@ -304,7 +305,7 @@ def cmd_fit(args) -> int:
 def cmd_smd(args) -> int:
     manifest = RunManifest("smd")
     data = manifest.add_input(args.csv_file)
-    values, labels = _read_value_group_csv(data, args.value, args.group)
+    values, labels = parse_value_groups(data, args.value, args.group)
     diff = scaled_mean_diff(values, labels, args.treat, args.ref)
     payload = {
         "value_column": args.value,
@@ -315,33 +316,6 @@ def cmd_smd(args) -> int:
     }
     _emit(payload, f"SMD({args.treat} - {args.ref}) = {diff:.4f}\n", manifest, args.json)
     return 0
-
-
-def _read_value_group_csv(data: bytes, value_col: str, group_col: str):
-    # The group column holds arbitrary tags, so this cannot go through the
-    # all-numeric Dataset loader.
-    reader = csv_rows(data)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise StatsError("empty CSV: missing header row") from None
-    for name in (value_col, group_col):
-        if name not in header:
-            raise StatsError(f"unknown column {name!r}")
-    vi, gi = header.index(value_col), header.index(group_col)
-    values, labels = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            value = float(row[vi])
-        except (ValueError, IndexError):
-            raise StatsError(f"line {lineno}: bad value in column {value_col!r}") from None
-        if not math.isfinite(value):
-            raise StatsError(f"line {lineno}: non-finite value in {value_col!r}")
-        values.append(value)
-        labels.append(row[gi])
-    return values, labels
 
 
 def _split(raw: str | None) -> list[str]:
@@ -434,6 +408,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout left early (``| head``); that is not an input
+        # error.  Point stdout at devnull so the exit-time flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -435,38 +435,32 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         config.template.bind({**config.fixed, **dict(zip(config.grid_names, point))})
         for point in points
     ]
-    tasks = [
-        (gi, si, n)
-        for gi in range(len(points))
-        for si, n in enumerate(config.sample_sizes)
-    ]
-
-    def run_cell(task: tuple[int, int, int]) -> SweepCell:
-        gi, si, n = task
-        estimates = []
-        failures = 0
-        for ri in range(config.repetitions):
-            est = _treatment_estimate(
-                specs[gi], n, config.outcome, config.predictors,
-                (config.seed, gi, si, ri),
-            )
-            if est is None:
-                failures += 1
+    cells = []
+    for gi, point in enumerate(points):
+        for si, n in enumerate(config.sample_sizes):
+            params = dict(zip(config.grid_names, point))
+            estimates = []
+            failures = 0
+            for ri in range(config.repetitions):
+                est = _treatment_estimate(
+                    specs[gi], n, config.outcome, config.predictors,
+                    (config.seed, gi, si, ri),
+                )
+                if est is None:
+                    failures += 1
+                else:
+                    estimates.append(est)
+            if failures > 0.1 * config.repetitions:
+                cells.append(SweepCell(params, n, None, None, None, failures))
             else:
-                estimates.append(est)
-        params = dict(zip(config.grid_names, points[gi]))
-        if failures > 0.1 * config.repetitions:
-            return SweepCell(params, n, None, None, None, failures)
-        return SweepCell(
-            params, n,
-            float(np.mean(estimates)),
-            hpdi(estimates, 0.50),
-            hpdi(estimates, 0.95),
-            failures,
-        )
-
-    cells = tuple(run_cell(task) for task in tasks)
-    return SweepResult(config.grid_names, config.sample_sizes, config.repetitions, cells)
+                cells.append(SweepCell(
+                    params, n,
+                    float(np.mean(estimates)),
+                    hpdi(estimates, 0.50),
+                    hpdi(estimates, 0.95),
+                    failures,
+                ))
+    return SweepResult(config.grid_names, config.sample_sizes, config.repetitions, tuple(cells))
 
 
 def expected_treatment_estimate(t_e: float, z_e: float, z_t: float) -> float:
@@ -564,4 +558,4 @@ def _floats(value: str, lineno: int) -> tuple[float, ...]:
 
 
 def load_sweep_config(path: str | Path, template: ScmTemplate | None = None) -> SweepConfig:
-    return parse_sweep_config(Path(path).read_bytes().decode("utf-8"), template)
+    return parse_sweep_config(Path(path).read_bytes().decode("utf-8-sig"), template)

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,25 +63,12 @@ class Dataset:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_rows(cls, columns: Sequence[str], rows: Iterable[Sequence[float]]) -> "Dataset":
-        rows = [tuple(r) for r in rows]
-        for i, row in enumerate(rows):
-            if len(row) != len(columns):
-                raise StatsError(f"row {i} has {len(row)} values, expected {len(columns)}")
-        data = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
-        return cls(tuple(columns), data)
-
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            idx = self.columns.index(name)
-        except ValueError:
-            raise StatsError(f"unknown column {name!r}") from None
-        return self.values[:, idx]
+        return self.values[:, _column_index(self.columns, name)]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -101,49 +88,62 @@ def read_csv(source: str | Path) -> Dataset:
     return parse_csv_bytes(Path(source).read_bytes())
 
 
-def parse_csv_text(text: str) -> Dataset:
-    return _parse_csv(csv.reader(io.StringIO(text)))
-
-
 def parse_csv_bytes(data: bytes) -> Dataset:
-    """:func:`read_csv` on the UTF-8 bytes of a CSV file already in memory."""
-    return _parse_csv(csv_rows(data))
+    """:func:`read_csv` on the bytes of a CSV file already in memory."""
+    columns, rows = _csv_table(data)
+    cells = (
+        _finite(lineno, name, cell)
+        for lineno, row in rows
+        for name, cell in zip(columns, row)
+    )
+    return Dataset(columns, np.fromiter(cells, dtype=float).reshape(-1, len(columns)))
 
 
-def csv_rows(data: bytes) -> Iterator[list[str]]:
-    """CSV rows of UTF-8 ``data``, read as a file opened with ``newline=""``.
+def _csv_table(data: bytes) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
+    """The header names of CSV ``data`` and an iterator of its ``(line, fields)`` rows.
 
-    The bytes are decoded as they are read; an ``io.StringIO`` over the
-    decoded text would first copy it at four bytes per character.
+    These are the format rules of every CSV input: the first non-blank line
+    is a header of stripped, unique names, blank lines are skipped, and every
+    row has one field per name.  The bytes are decoded as UTF-8, dropping a
+    leading byte-order mark, while the rows are read; an ``io.StringIO`` over
+    the decoded text would first copy it at four bytes per character.
     """
-    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-
-
-def _parse_csv(reader) -> Dataset:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise StatsError("empty CSV: missing header row") from None
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    records = enumerate(csv.reader(text), start=1)
+    header = next((row for _, row in records if row), None)
+    if header is None:
+        raise StatsError("empty CSV: missing header row")
     columns = tuple(name.strip() for name in header)
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(columns):
-            raise StatsError(
-                f"line {lineno}: expected {len(columns)} fields, found {len(row)}"
-            )
-        parsed = []
-        for name, cell in zip(columns, row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise StatsError(f"line {lineno}: non-numeric value {cell!r} in {name!r}") from None
-            if not math.isfinite(value):
-                raise StatsError(f"line {lineno}: non-finite value {cell!r} in {name!r}")
-            parsed.append(value)
-        rows.append(parsed)
-    return Dataset.from_rows(columns, rows)
+    if len(set(columns)) != len(columns):
+        raise StatsError("duplicate column names")
+    width = len(columns)
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for lineno, row in records:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise StatsError(f"line {lineno}: expected {width} fields, found {len(row)}")
+            yield lineno, row
+
+    return columns, rows()
+
+
+def _finite(lineno: int, name: str, cell: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise StatsError(f"line {lineno}: non-numeric value {cell!r} in {name!r}") from None
+    if not math.isfinite(value):
+        raise StatsError(f"line {lineno}: non-finite value {cell!r} in {name!r}")
+    return value
+
+
+def _column_index(columns: tuple[str, ...], name: str) -> int:
+    try:
+        return columns.index(name)
+    except ValueError:
+        raise StatsError(f"unknown column {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -292,3 +292,18 @@ def scaled_mean_diff(
         return float(np.mean(group)) / spread
 
     return standardized_mean(treat) - standardized_mean(reference)
+
+
+def parse_value_groups(data: bytes, value: str, group: str) -> tuple[list[float], list[str]]:
+    """The ``value`` column and the ``group`` tags of CSV ``data``.
+
+    The file follows the rules of :func:`parse_csv_bytes`, but only the
+    ``value`` cells must be finite numbers: group tags are free text.
+    """
+    columns, rows = _csv_table(data)
+    vi, gi = _column_index(columns, value), _column_index(columns, group)
+    values, labels = [], []
+    for lineno, row in rows:
+        values.append(_finite(lineno, value, row[vi]))
+        labels.append(row[gi])
+    return values, labels

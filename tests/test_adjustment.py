@@ -129,6 +129,19 @@ class TestMinimalSets:
                 )
                 assert got == minimal_sets_oracle(dag, t, y, observed_only)
 
+    def test_observed_sets_are_the_latent_free_sets(self):
+        # The CLI and the per-edge report take the observed-only sets from
+        # one scan with latents allowed.
+        rng = random.Random(1717)
+        for _ in range(200):
+            dag = random_dag(rng, max_nodes=10, edge_prob=0.5, min_nodes=5)
+            t, y = rng.sample(sorted(dag.nodes), 2)
+            query = CausalQuery(dag, t, y)
+            with_latents = minimal_adjustment_sets(query)
+            assert [s for s in with_latents if not s & dag.latent] == (
+                minimal_adjustment_sets(query, observed_only=True)
+            )
+
     def test_regression_on_adjustment_set_recovers_edge_weight(self):
         # Semantic check: conditioning on any minimal adjustment set makes the
         # regression coefficient match the generating edge weight.

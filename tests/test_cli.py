@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 from ovbkit.cli import main
 from ovbkit.fixtures import fixture_path
-from ovbkit.scm import confounded_scm, sample
+from ovbkit.scm import confounded_scm, load_sweep_config, sample
 
 SMALL_CONFIG = """\
 param.b_e = 0.3
@@ -79,6 +80,13 @@ class TestAdjust:
         code, _, err = run(capsys, "adjust", str(bad))
         assert code == 1
         assert "line 1" in err
+
+    def test_byte_order_mark(self, capsys, tmp_path):
+        dag = tmp_path / "bom.dag"
+        dag.write_bytes(b"\xef\xbb\xbfX -> Y\ntreatment X\noutcome Y\n")
+        code, out, err = run(capsys, "adjust", str(dag), "--json")
+        assert code == 0, err
+        assert json.loads(out)["observed_sets"] == [[]]
 
     def test_missing_roles(self, capsys, tmp_path):
         anon = tmp_path / "anon.dag"
@@ -257,6 +265,17 @@ class TestSimulate:
             assert cell[key] == float(fields[key])
         assert (cell["n"], cell["failures"]) == (int(fields["n"]), int(fields["failures"]))
 
+    def test_byte_order_mark(self, capsys, tmp_path):
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG)
+        bom = tmp_path / "bom.conf"
+        bom.write_bytes(b"\xef\xbb\xbf" + SMALL_CONFIG.encode())
+        got, want = load_sweep_config(bom), load_sweep_config(config)
+        assert (got.grid, got.fixed, got.seed) == (want.grid, want.fixed, want.seed)
+        code, out, err = run(capsys, "simulate", str(bom))
+        assert code == 0, err
+        assert out == run(capsys, "simulate", str(config))[1]
+
     def test_config_error(self, capsys, tmp_path):
         config = tmp_path / "broken.conf"
         config.write_text("nonsense\n")
@@ -277,30 +296,42 @@ class TestPipedInput:
             [sys.executable, "-m", "ovbkit", *argv], input=stdin, capture_output=True
         )
 
-    def test_fit_from_stdin(self, tmp_path):
+    def check_fit(self, tmp_path, stdin_name):
         data = b"x,y\n0,1\n1,3\n2,5\n3,7.5\n"
         csv_path = tmp_path / "line.csv"
         csv_path.write_bytes(data)
         argv = ("--outcome", "y", "--predictors", "x", "--json")
-        piped = self.ovbkit("fit", "/dev/stdin", *argv, stdin=data)
+        piped = self.ovbkit("fit", stdin_name, *argv, stdin=data)
         assert piped.returncode == 0, piped.stderr.decode()
         direct = self.ovbkit("fit", str(csv_path), *argv, stdin=b"")
         payload, expected = json.loads(piped.stdout), json.loads(direct.stdout)
         assert payload.pop("manifest")["inputs"] == {
-            "/dev/stdin": hashlib.sha256(data).hexdigest()
+            stdin_name: hashlib.sha256(data).hexdigest()
         }
         expected.pop("manifest")
         assert payload == expected
 
-    def test_simulate_from_stdin(self, tmp_path):
+    def check_simulate(self, tmp_path, stdin_name):
         config = tmp_path / "sweep.conf"
         config.write_text(SMALL_CONFIG)
-        piped = self.ovbkit("simulate", "/dev/stdin", stdin=SMALL_CONFIG.encode())
+        piped = self.ovbkit("simulate", stdin_name, stdin=SMALL_CONFIG.encode())
         assert piped.returncode == 0, piped.stderr.decode()
         direct = self.ovbkit("simulate", str(config), stdin=b"")
         assert piped.stdout == direct.stdout
         digest = hashlib.sha256(SMALL_CONFIG.encode()).hexdigest()
-        assert f"# input /dev/stdin sha256={digest}" in piped.stderr.decode()
+        assert f"# input {stdin_name} sha256={digest}" in piped.stderr.decode()
+
+    def test_fit_from_stdin(self, tmp_path):
+        self.check_fit(tmp_path, "/dev/stdin")
+
+    def test_simulate_from_stdin(self, tmp_path):
+        self.check_simulate(tmp_path, "/dev/stdin")
+
+    def test_fit_from_dash(self, tmp_path):
+        self.check_fit(tmp_path, "-")
+
+    def test_simulate_from_dash(self, tmp_path):
+        self.check_simulate(tmp_path, "-")
 
 
 class TestDependencies:
@@ -367,6 +398,26 @@ class TestFitAndSmd:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "field limit" in err
 
+    @pytest.mark.parametrize("text", ["v,g\n1,0\n2,1,9\n", "v,v\n1,0\n"])
+    def test_smd_and_fit_share_csv_errors(self, capsys, tmp_path, text):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        _, _, fit_err = run(capsys, "fit", str(csv_path), "--outcome", "v",
+                            "--predictors", "g")
+        code, out, err = run(capsys, "smd", str(csv_path), "--value", "v",
+                             "--group", "g", "--treat", "1", "--ref", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == fit_err
+
+    def test_fit_byte_order_mark(self, capsys, tmp_path):
+        csv_path = tmp_path / "excel.csv"
+        csv_path.write_bytes(b"\xef\xbb\xbfx,y\r\n0,1\r\n1,3\r\n2,5\r\n")
+        code, out, err = run(capsys, "fit", str(csv_path), "--outcome", "y",
+                             "--predictors", "x", "--json")
+        assert code == 0, err
+        assert json.loads(out)["coefficients"]["x"] == pytest.approx(2.0)
+
     def test_smd_identical_groups(self, capsys, tmp_path):
         csv_path = tmp_path / "groups.csv"
         csv_path.write_text(
@@ -397,3 +448,17 @@ class TestHarness:
                            "--solve", "smd", "--explain")
         assert code == 0
         assert "workflow" in err
+
+    def test_closed_stdout_is_not_an_error(self, productivity):
+        # The reading end is closed before the child starts, so its first
+        # write to stdout fails (as under `| head` once head has exited).
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "ovbkit", "augment", productivity, "--json"],
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")

@@ -12,7 +12,8 @@ from ovbkit.stats import (
     StatsError,
     hpdi,
     ols_fit,
-    parse_csv_text,
+    parse_csv_bytes,
+    parse_value_groups,
     read_csv,
     scaled_mean_diff,
 )
@@ -27,10 +28,6 @@ class TestDataset:
     def test_rejects_non_finite(self):
         with pytest.raises(StatsError):
             make_dataset(x=[1.0, float("nan")])
-
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(StatsError):
-            Dataset.from_rows(("a", "b"), [(1.0, 2.0), (3.0,)])
 
     def test_rejects_duplicate_columns(self):
         with pytest.raises(StatsError):
@@ -56,22 +53,61 @@ class TestCsv:
         assert (loaded.values == data.values).all()
 
     def test_quoted_fields(self):
-        data = parse_csv_text('"x","y"\n"1","2"\n')
+        data = parse_csv_bytes('"x","y"\n"1","2"\n'.encode())
         assert data.columns == ("x", "y")
         assert data.values.tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
     def test_non_finite_tokens_rejected(self, token):
         with pytest.raises(StatsError):
-            parse_csv_text(f"x\n{token}\n")
+            parse_csv_bytes(f"x\n{token}\n".encode())
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(StatsError, match="line 3"):
-            parse_csv_text("x,y\n1,2\n3\n")
+            parse_csv_bytes("x,y\n1,2\n3\n".encode())
         with pytest.raises(StatsError, match="line 2"):
-            parse_csv_text("x\nhello\n")
+            parse_csv_bytes("x\nhello\n".encode())
         with pytest.raises(StatsError, match="header"):
-            parse_csv_text("")
+            parse_csv_bytes("".encode())
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        # Excel's "CSV UTF-8" starts with a BOM.
+        data = parse_csv_bytes(b"\xef\xbb\xbfx,y\r\n1,2\r\n")
+        assert data.columns == ("x", "y")
+        assert data.column("x").tolist() == [1.0]
+
+    def test_blank_lines_are_skipped(self):
+        data = parse_csv_bytes(b"\nx , y\n\n1,2\n\n3,4\n")
+        assert data.columns == ("x", "y")
+        assert data.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_duplicate_header_names_rejected(self):
+        with pytest.raises(StatsError, match="duplicate column names"):
+            parse_csv_bytes(b"x, x\n1,2\n")
+
+    def test_empty_body(self):
+        data = parse_csv_bytes(b"x,y\n")
+        assert data.columns == ("x", "y")
+        assert data.values.shape == (0, 2)
+
+
+class TestValueGroups:
+    def test_reads_values_and_tags(self):
+        values, labels = parse_value_groups(b"g,v,w\na,1,x\n\nb,2.5,y\n", "v", "g")
+        assert values == [1.0, 2.5]
+        assert labels == ["a", "b"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("v,g\n1,a\n2,a,extra\n", "line 3: expected 2 fields, found 3"),
+        ("v,v\n1,a\n", "duplicate column names"),
+        ("v,g\n1,a\nnan,b\n", "line 3: non-finite value 'nan' in 'v'"),
+        ("v,g\nhello,a\n", "line 2: non-numeric value 'hello' in 'v'"),
+        ("v,h\n1,a\n", "unknown column 'g'"),
+        ("", "missing header row"),
+    ])
+    def test_same_rules_as_datasets(self, text, message):
+        with pytest.raises(StatsError, match=message):
+            parse_value_groups(text.encode(), "v", "g")
 
 
 class TestOls:
