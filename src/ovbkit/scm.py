@@ -3,9 +3,10 @@
 Sampling is bit-reproducible for a given numpy version: the random source is
 numpy's counter-based Philox generator, normal variates come from its
 ``standard_normal``, and nodes are always sampled in the DAG's topological
-order.  Sweeps derive one seed per repetition from the tuple
-(config seed, grid-point index, sample-size index, repetition index), so a
-cell's result never depends on which other cells are run.
+order.  Sweeps draw the repetitions of a cell in blocks, each draw attempt of
+a block from its own seed derived from the tuple (config seed, grid-point
+index, sample-size index, index of the block's first repetition, attempt),
+so a cell's result never depends on which other cells are run.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .dag import CausalDag, topological_order
-from .stats import (
-    Dataset,
-    Interval,
-    RankDeficiencyError,
-    hpdi,
-    solve_normal_equations,
-)
+from .stats import Dataset, Interval, _stacked_least_squares, hpdi
 
 __all__ = [
     "BernoulliExogenous",
@@ -53,6 +48,11 @@ __all__ = [
 SeedLike = Union[int, np.random.SeedSequence]
 
 _MAX_DRAW_ATTEMPTS = 4  # one draw plus up to three redraws per repetition
+# A sweep block holds as many repetitions as fit in this many values per node
+# (at least one), which bounds a block's memory at any n.  The block size
+# decides which repetitions share a random stream, so changing it changes
+# every simulate CSV.
+_BLOCK_VALUES = 2**17
 _CELL_COLUMNS = ("n", "mean", "l50", "u50", "l95", "u95", "failures")
 
 
@@ -139,17 +139,20 @@ def _rng_from(seed: SeedLike) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _sample_columns(spec: ScmSpec, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def _sample_columns(
+    spec: ScmSpec, shape: int | tuple[int, ...], rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """One array of the given shape per node, drawn node by node in ``spec.order``."""
     columns: dict[str, np.ndarray] = {}
     for node in spec.order:
         mech = spec.mechanisms[node]
         if isinstance(mech, BernoulliExogenous):
-            columns[node] = (rng.random(n) < mech.p).astype(float)
+            columns[node] = (rng.random(shape) < mech.p).astype(float)
         else:
-            mean = np.full(n, float(mech.intercept))
+            mean = np.full(shape, float(mech.intercept))
             for parent in sorted(mech.weights):
                 mean += mech.weights[parent] * columns[parent]
-            columns[node] = mean + mech.sd * rng.standard_normal(n)
+            columns[node] = mean + mech.sd * rng.standard_normal(shape)
     return columns
 
 
@@ -279,7 +282,7 @@ class SweepConfig:
     """A parameter sweep: grid values for some template parameters, fixed
     values for the rest, sample sizes, repetitions, and the regression run on
     each draw.  The first predictor is the treatment whose coefficient is
-    tracked.  Grid order matters: per-repetition seeds are derived from the
+    tracked.  Grid order matters: sweep seeds are derived from the
     positional indices of grid point and sample size."""
 
     template: ScmTemplate
@@ -388,38 +391,60 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _treatment_estimate(
+def _cell_estimates(
     spec: ScmSpec,
     n: int,
     outcome: str,
     predictors: tuple[str, ...],
-    entropy: tuple[int, int, int, int],
-) -> float | None:
-    """One repetition: sample, regress, return the first predictor's coefficient.
+    repetitions: int,
+    entropy: tuple[int, int, int],
+) -> tuple[np.ndarray, int]:
+    """One sweep cell: the first predictor's coefficient from each repetition
+    that produced one, in repetition order, and the number that did not.
 
-    Rank-deficient draws are re-drawn with fresh derived seeds and count as a
-    failure (None) after three retries.  When n is smaller than the parameter
-    count the exact solve is impossible, so the minimum-norm least-squares
-    solution is reported instead.
+    Repetitions are sampled and regressed a block at a time.  A repetition
+    whose draw is rank deficient is redrawn, together with the block's other
+    failures, from the next attempt's seed, and counts as failed after three
+    retries.  When n is smaller than the parameter count the exact solve is
+    impossible, so the minimum-norm least-squares solution is reported
+    instead, without redraws.
     """
-    p = len(predictors) + 1
-    for attempt in range(_MAX_DRAW_ATTEMPTS):
-        rng = _rng_from(np.random.SeedSequence((*entropy, attempt)))
-        columns = _sample_columns(spec, n, rng)
-        design = np.empty((n, p))
-        design[:, 0] = 1.0
-        for i, name in enumerate(predictors, start=1):
-            design[:, i] = columns[name]
-        y = columns[outcome]
-        if n < p:
-            coef = np.linalg.lstsq(design, y, rcond=None)[0]
-            return float(coef[1])
-        try:
-            coef, _ = solve_normal_equations(design, y)
-        except RankDeficiencyError:
-            continue
-        return float(coef[1])
-    return None
+    block = max(1, _BLOCK_VALUES // n)
+    estimates = np.empty(repetitions)
+    done = np.zeros(repetitions, dtype=bool)
+    for start in range(0, repetitions, block):
+        pending = np.arange(start, min(start + block, repetitions))
+        for attempt in range(_MAX_DRAW_ATTEMPTS):
+            seed = np.random.SeedSequence((*entropy, start, attempt))
+            coef, solved = _draw_estimates(spec, (pending.size, n), outcome, predictors, seed)
+            estimates[pending[solved]] = coef[solved]
+            done[pending[solved]] = True
+            pending = pending[~solved]
+            if not pending.size:
+                break
+    return estimates[done], repetitions - int(done.sum())
+
+
+def _draw_estimates(
+    spec: ScmSpec,
+    shape: tuple[int, int],
+    outcome: str,
+    predictors: tuple[str, ...],
+    seed: np.random.SeedSequence,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``shape = (r, n)``: r repetitions of n samples, then regress each.
+
+    Returns the first predictor's coefficient per repetition and which
+    repetitions were solved.  The draws are freed on return, before the
+    caller makes the next one.
+    """
+    columns = _sample_columns(spec, shape, _rng_from(seed))
+    design = np.empty((shape[0], len(predictors) + 1, shape[1]))
+    design[:, 0] = 1.0
+    for i, name in enumerate(predictors, start=1):
+        design[:, i] = columns[name]
+    coef, solved = _stacked_least_squares(design, columns[outcome])
+    return coef[:, 1], solved
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -439,17 +464,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     for gi, point in enumerate(points):
         for si, n in enumerate(config.sample_sizes):
             params = dict(zip(config.grid_names, point))
-            estimates = []
-            failures = 0
-            for ri in range(config.repetitions):
-                est = _treatment_estimate(
-                    specs[gi], n, config.outcome, config.predictors,
-                    (config.seed, gi, si, ri),
-                )
-                if est is None:
-                    failures += 1
-                else:
-                    estimates.append(est)
+            estimates, failures = _cell_estimates(
+                specs[gi], n, config.outcome, config.predictors, config.repetitions,
+                (config.seed, gi, si),
+            )
             if failures > 0.1 * config.repetitions:
                 cells.append(SweepCell(params, n, None, None, None, failures))
             else:

@@ -3,7 +3,8 @@
 The regression here is plain ordinary least squares with analytic standard
 errors.  The normal equations are solved through numpy's (LAPACK's) Cholesky
 factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
-diagonal entry of XtX counts as rank deficiency.
+diagonal entry of XtX counts as rank deficiency.  Sweeps solve a whole stack
+of small regressions at once through a vectorised Cholesky under the same rule.
 """
 
 from __future__ import annotations
@@ -109,7 +110,18 @@ def _csv_table(data: bytes) -> tuple[tuple[str, ...], Iterator[tuple[int, list[s
     the decoded text would first copy it at four bytes per character.
     """
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-    records = enumerate(csv.reader(text), start=1)
+    reader = csv.reader(text)
+
+    def numbered() -> Iterator[tuple[int, list[str]]]:
+        # ``line_num`` is the physical line a record ends on, which is the
+        # line to report: a quoted field may span several lines.
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise StatsError(f"line {reader.line_num}: {exc}") from None
+
+    records = numbered()
     header = next((row for _, row in records if row), None)
     if header is None:
         raise StatsError("empty CSV: missing header row")
@@ -211,6 +223,61 @@ def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np
         raise RankDeficiencyError("design matrix is rank deficient (collinear predictors)")
     coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ response))
     return coef, lower
+
+
+def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of a stack of regressions, and which were solved.
+
+    ``design`` holds one transposed design matrix per regression, shape
+    ``(r, p, n)``, and ``response`` the matching ``(r, n)`` outcomes; the
+    coefficients come back as ``(r, p)``.  With ``n >= p`` each system is
+    solved through its normal equations, and a regression counts as unsolved
+    under the pivot rule of :func:`solve_normal_equations`; its coefficients
+    are then meaningless.  With ``n < p`` every regression gets the
+    minimum-norm solution, with the singular-value cutoff of
+    ``numpy.linalg.lstsq(rcond=None)``.
+
+    ``einsum`` forms the normal equations without BLAS, so no BLAS thread is
+    started for large ``n``.
+    """
+    r, p, n = design.shape
+    if n < p:
+        pinv = np.linalg.pinv(design, rcond=max(n, p) * np.finfo(float).eps)  # (r, n, p)
+        return np.einsum("rnp,rn->rp", pinv, response), np.ones(r, dtype=bool)
+    gram = np.einsum("rin,rjn->rij", design, design)
+    moment = np.einsum("rin,rn->ri", design, response)
+    return _cholesky_solve(gram, moment)
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``gram[k] @ b = rhs[k]`` for a stack of symmetric matrices.
+
+    The Cholesky factor is built one column at a time across the whole stack.
+    A matrix fails, as in :func:`solve_normal_equations`, when a pivot
+    ``diag(L)**2`` is not above 1e-10 times its largest diagonal entry (or is
+    not a number); from its first failed pivot on, its factor continues as
+    the identity so that the other matrices' arithmetic stays finite.
+    ``numpy.linalg.cholesky`` cannot be used here: one failed matrix makes it
+    raise for the whole stack.
+    """
+    r, p, _ = gram.shape
+    floor = _PIVOT_RTOL * np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    lower = np.zeros_like(gram)
+    solved = np.ones(r, dtype=bool)
+    for j in range(p):
+        row = lower[:, j, :j]
+        root = np.sqrt(np.maximum(gram[:, j, j] - np.einsum("ri,ri->r", row, row), 0.0))
+        solved &= root**2 > floor
+        pivot = np.where(solved, root, 1.0)
+        lower[:, j, j] = pivot
+        below = gram[:, j + 1:, j] - np.einsum("rij,rj->ri", lower[:, j + 1:, :j], row)
+        lower[:, j + 1:, j] = np.where(solved[:, None], below / pivot[:, None], 0.0)
+    coef = np.empty_like(rhs)
+    for j in range(p):  # L z = rhs
+        coef[:, j] = (rhs[:, j] - np.einsum("ri,ri->r", lower[:, j, :j], coef[:, :j])) / lower[:, j, j]
+    for j in reversed(range(p)):  # Lt b = z
+        coef[:, j] = (coef[:, j] - np.einsum("ri,ri->r", lower[:, j + 1:, j], coef[:, j + 1:])) / lower[:, j, j]
+    return coef, solved
 
 
 def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult:

@@ -238,6 +238,17 @@ class TestSimulate:
         assert run(capsys, "simulate", str(config), "-o", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_out_of_memory_is_one_line_error(self, capsys, tmp_path, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr("ovbkit.cli.run_sweep", exhausted)
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG)
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
+
     def test_stdout_mode(self, capsys, tmp_path):
         config = tmp_path / "sweep.conf"
         config.write_text(SMALL_CONFIG)
@@ -391,14 +402,13 @@ class TestFitAndSmd:
     def test_oversized_field_is_one_line_error(self, capsys, tmp_path, argv):
         # csv's default field limit is 131,072 characters.
         csv_path = tmp_path / "big.csv"
-        csv_path.write_text("y,t\n1," + "x" * 200_000 + "\n")
+        csv_path.write_text("y,t\n1,2\n1," + "x" * 200_000 + "\n")
         code, out, err = run(capsys, argv[0], str(csv_path), *argv[1:])
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "field limit" in err
+        assert err == "error: line 3: field larger than field limit (131072)\n"
 
-    @pytest.mark.parametrize("text", ["v,g\n1,0\n2,1,9\n", "v,v\n1,0\n"])
+    @pytest.mark.parametrize("text", ["v,g\n1,0\n2,1,9\n", "v,v\n1,0\n", 'v,g\n"1\n",2\n3\n'])
     def test_smd_and_fit_share_csv_errors(self, capsys, tmp_path, text):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text(text)

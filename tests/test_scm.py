@@ -307,7 +307,7 @@ class TestClosedFormOracle:
     def test_sweep_means_within_monte_carlo_error_of_oracle(self):
         # |cell mean - closed form| should stay below 4 standard errors of the
         # mean, with the spread recomputed from the per-repetition estimates.
-        from ovbkit.scm import _treatment_estimate
+        from ovbkit.scm import _cell_estimates
 
         text = SMALL_CONFIG.replace("grid.z_e = 0.1, 0.5", "grid.z_e = -0.5, 0.3") \
                            .replace("grid.z_t = 0.1", "grid.z_t = 0.4") \
@@ -317,16 +317,16 @@ class TestClosedFormOracle:
         result = run_sweep(config)
         for gi, point in enumerate(config.grid_points()):
             spec = config.template.bind({**config.fixed, **dict(zip(config.grid_names, point))})
-            estimates = [
-                _treatment_estimate(
-                    spec, 50, config.outcome, config.predictors, (config.seed, gi, 0, ri)
-                )
-                for ri in range(config.repetitions)
-            ]
+            estimates, failures = _cell_estimates(
+                spec, 50, config.outcome, config.predictors, config.repetitions,
+                (config.seed, gi, 0),
+            )
+            assert failures == 0
             spread = float(np.std(estimates, ddof=1))
             cell = result.cells[gi]
             params = dict(zip(config.grid_names, point))
             assert cell.params == params and cell.n == 50
+            assert cell.mean == float(np.mean(estimates))
             oracle = expected_treatment_estimate(
                 params["t_e"], params["z_e"], params["z_t"]
             )

@@ -10,12 +10,14 @@ from ovbkit.stats import (
     Interval,
     RankDeficiencyError,
     StatsError,
+    _stacked_least_squares,
     hpdi,
     ols_fit,
     parse_csv_bytes,
     parse_value_groups,
     read_csv,
     scaled_mean_diff,
+    solve_normal_equations,
 )
 
 
@@ -69,6 +71,19 @@ class TestCsv:
             parse_csv_bytes("x\nhello\n".encode())
         with pytest.raises(StatsError, match="header"):
             parse_csv_bytes("".encode())
+
+    def test_line_numbers_are_physical_lines(self):
+        # The quoted field spans lines 2-3, so the short row is on line 4.
+        with pytest.raises(StatsError, match="^line 4: expected 2 fields, found 1$"):
+            parse_csv_bytes(b'x,y\n"1\n",2\n3\n')
+        with pytest.raises(StatsError, match="^line 4: non-numeric value 'a' in 'y'$"):
+            parse_csv_bytes(b'x,y\n"1\n",2\n3,a\n')
+
+    def test_oversized_field_names_its_line(self):
+        text = "x,y\n1,2\n1," + "9" * 200_000 + "\n"
+        with pytest.raises(StatsError) as caught:
+            parse_csv_bytes(text.encode())
+        assert str(caught.value) == "line 3: field larger than field limit (131072)"
 
     def test_leading_byte_order_mark_is_dropped(self):
         # Excel's "CSV UTF-8" starts with a BOM.
@@ -215,6 +230,85 @@ class TestOls:
         payload = json.loads(ols_fit(data, "y", ["b", "a"]).to_json())
         assert list(payload["coefficients"]) == ["a", "b"]
         assert list(payload) == ["n", "intercept", "coefficients", "std_errors", "sigma"]
+
+
+def _near_collinear_design(rng, n: int, p: int) -> np.ndarray:
+    """A transposed (p, n) design: an intercept row and normal rows, where
+    about 70% of designs copy one row onto another plus noise of 1e-12 to 1e-1."""
+    design = np.vstack([np.ones(n), rng.standard_normal((p - 1, n))])
+    if rng.random() < 0.7:
+        src, dst = rng.choice(p, 2, replace=False)
+        if dst == 0:
+            src, dst = dst, src  # keep the intercept row
+        design[dst] = design[src] + 10.0 ** rng.uniform(-12, -1) * rng.standard_normal(n)
+    return design
+
+
+class TestStackedLeastSquares:
+    def test_same_decision_as_solve_normal_equations(self):
+        rng = np.random.default_rng(11)
+        stacks: dict[tuple[int, int], list[np.ndarray]] = {}
+        for _ in range(10_000):
+            n, p = int(rng.integers(6, 60)), int(rng.integers(2, 7))
+            stacks.setdefault((n, p), []).append(_near_collinear_design(rng, n, p))
+        outcomes = {True: 0, False: 0}
+        for (n, p), designs in stacks.items():
+            design = np.stack(designs)
+            response = rng.standard_normal((len(designs), n))
+            coef, solved = _stacked_least_squares(design, response)
+            for k in range(len(designs)):
+                try:
+                    solve_normal_equations(design[k].T, response[k])
+                    expected = True
+                except RankDeficiencyError:
+                    expected = False
+                assert solved[k] == expected, (n, p, k)
+                outcomes[expected] += 1
+            assert np.isfinite(coef[solved]).all()
+        # Both decisions occur often, so agreement is not trivial.
+        assert min(outcomes.values()) > 2_000
+
+    def test_coefficients_match_on_well_conditioned_designs(self):
+        rng = np.random.default_rng(12)
+        for n, p in [(6, 2), (12, 6), (50, 6), (59, 4), (2_000, 3)]:
+            design = np.concatenate(
+                [np.ones((40, 1, n)), rng.standard_normal((40, p - 1, n))], axis=1
+            )
+            response = rng.standard_normal((40, n)) + design[:, 1]
+            coef, solved = _stacked_least_squares(design, response)
+            assert solved.all()
+            for k in range(40):
+                expected, _ = solve_normal_equations(design[k].T, response[k])
+                assert np.linalg.norm(coef[k] - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_fewer_rows_than_parameters_is_minimum_norm_lstsq(self):
+        rng = np.random.default_rng(13)
+        for n, p in [(1, 2), (3, 6), (5, 6), (2, 4)]:
+            design = np.concatenate(
+                [np.ones((30, 1, n)), rng.standard_normal((30, p - 1, n))], axis=1
+            )
+            design[0, -1] = design[0, 1]  # the first design repeats a row when p > 2
+            response = rng.standard_normal((30, n))
+            coef, solved = _stacked_least_squares(design, response)
+            assert solved.all()
+            for k in range(30):
+                expected = np.linalg.lstsq(design[k].T, response[k], rcond=None)[0]
+                assert np.linalg.norm(coef[k] - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_fewer_rows_than_parameters_keeps_lstsq_cutoff(self):
+        # A nearly repeated sample leaves a singular value near 1e-10 of the
+        # largest.  lstsq keeps it, so the solution is huge; a larger cutoff
+        # would drop it and give an O(1) solution.  With a condition number
+        # near 1e10 the two solvers agree to about 1e-6, not 1e-10.
+        rng = np.random.default_rng(14)
+        design = np.concatenate([np.ones((20, 1, 3)), rng.standard_normal((20, 5, 3))], axis=1)
+        design[:, 1:, 1] = design[:, 1:, 0] + 1e-9 * rng.standard_normal((20, 5))
+        response = rng.standard_normal((20, 3))
+        coef, _ = _stacked_least_squares(design, response)
+        for k in range(20):
+            expected = np.linalg.lstsq(design[k].T, response[k], rcond=None)[0]
+            assert np.linalg.norm(expected) > 1e6
+            assert np.linalg.norm(coef[k] - expected) <= 1e-4 * np.linalg.norm(expected)
 
 
 class TestHpdi:
