@@ -214,8 +214,10 @@ def _parse_delta_range(spec: str) -> list[float]:
         raise UsageError(f"bad --delta-range {spec!r}") from None
     if step <= 0 or high < low:
         raise UsageError("--delta-range needs LOW <= HIGH and STEP > 0")
-    count = int(round((high - low) / step)) + 1
-    return [float(d) for d in np.linspace(low, high, count)]
+    steps = (high - low) / step
+    if not all(math.isfinite(v) for v in (low, high, step, steps)):
+        raise UsageError(f"--delta-range {spec!r} needs finite values and step count")
+    return [float(d) for d in np.linspace(low, high, int(round(steps)) + 1)]
 
 
 def cmd_evalue(args) -> int:

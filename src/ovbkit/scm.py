@@ -339,7 +339,8 @@ class SweepCell:
     """Summary of one (grid point, sample size) combination.
 
     ``mean``/``hpdi50``/``hpdi95`` are None when the cell failed, i.e. more
-    than 10% of its repetitions could not produce an estimate."""
+    than 10% of its repetitions could not produce an estimate, or the mean of
+    the estimates overflows."""
 
     params: Mapping[str, float]
     n: int
@@ -403,11 +404,12 @@ def _cell_estimates(
     that produced one, in repetition order, and the number that did not.
 
     Repetitions are sampled and regressed a block at a time.  A repetition
-    whose draw is rank deficient is redrawn, together with the block's other
-    failures, from the next attempt's seed, and counts as failed after three
-    retries.  When n is smaller than the parameter count the exact solve is
-    impossible, so the minimum-norm least-squares solution is reported
-    instead, without redraws.
+    whose draw is rank deficient or gives a non-finite estimate is redrawn,
+    together with the block's other failures, from the next attempt's seed,
+    and counts as failed after three retries.  When n is smaller than the
+    parameter count the exact solve is impossible, so the minimum-norm
+    least-squares solution is reported instead; only a non-finite one is
+    redrawn.
     """
     block = max(1, _BLOCK_VALUES // n)
     estimates = np.empty(repetitions)
@@ -435,16 +437,20 @@ def _draw_estimates(
     """Draw ``shape = (r, n)``: r repetitions of n samples, then regress each.
 
     Returns the first predictor's coefficient per repetition and which
-    repetitions were solved.  The draws are freed on return, before the
-    caller makes the next one.
+    repetitions were solved.  Extreme edge weights can overflow a draw; a
+    repetition with a non-finite design or coefficient counts as unsolved.
+    The draws are freed on return, before the caller makes the next one.
     """
-    columns = _sample_columns(spec, shape, _rng_from(seed))
-    design = np.empty((shape[0], len(predictors) + 1, shape[1]))
-    design[:, 0] = 1.0
-    for i, name in enumerate(predictors, start=1):
-        design[:, i] = columns[name]
-    coef, solved = _stacked_least_squares(design, columns[outcome])
-    return coef[:, 1], solved
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = _sample_columns(spec, shape, _rng_from(seed))
+        design = np.empty((shape[0], len(predictors) + 1, shape[1]))
+        design[:, 0] = 1.0
+        for i, name in enumerate(predictors, start=1):
+            design[:, i] = columns[name]
+        finite = np.isfinite(design).all(axis=(1, 2))
+        design[~finite] = 0.0  # LAPACK's SVD may never return on inf or NaN
+        coef, solved = _stacked_least_squares(design, columns[outcome])
+    return coef[:, 1], solved & finite & np.isfinite(coef[:, 1])
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -468,16 +474,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 specs[gi], n, config.outcome, config.predictors, config.repetitions,
                 (config.seed, gi, si),
             )
-            if failures > 0.1 * config.repetitions:
-                cells.append(SweepCell(params, n, None, None, None, failures))
-            else:
+            failed = failures > 0.1 * config.repetitions
+            with np.errstate(over="ignore"):  # finite estimates near 1e308 can sum to inf
+                mean = math.nan if failed else float(np.mean(estimates))
+            if math.isfinite(mean):
                 cells.append(SweepCell(
-                    params, n,
-                    float(np.mean(estimates)),
-                    hpdi(estimates, 0.50),
-                    hpdi(estimates, 0.95),
-                    failures,
+                    params, n, mean, hpdi(estimates, 0.50), hpdi(estimates, 0.95), failures
                 ))
+            else:
+                cells.append(SweepCell(params, n, None, None, None, failures))
     return SweepResult(config.grid_names, config.sample_sizes, config.repetitions, tuple(cells))
 
 

@@ -1,10 +1,10 @@
 """Tabular datasets, least-squares fits, HPD intervals, and group differences.
 
 The regression here is plain ordinary least squares with analytic standard
-errors.  The normal equations are solved through numpy's (LAPACK's) Cholesky
+errors.  Every normal-equations solve, a single ``fit`` or a sweep's whole
+stack of small regressions, goes through one vectorised Cholesky
 factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
-diagonal entry of XtX counts as rank deficiency.  Sweeps solve a whole stack
-of small regressions at once through a vectorised Cholesky under the same rule.
+diagonal entry of XtX counts as rank deficiency.
 """
 
 from __future__ import annotations
@@ -210,19 +210,13 @@ class FitResult:
 def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients and the lower Cholesky factor L of XtX = L Lt.
 
-    Raises :class:`RankDeficiencyError` when XtX is not positive definite or
-    its smallest pivot ``diag(L)**2`` is at most 1e-10 times its largest
-    diagonal entry.
+    Raises :class:`RankDeficiencyError` when a pivot ``diag(L)**2`` is not
+    above 1e-10 times the largest diagonal entry of XtX.
     """
-    gram = design.T @ design
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        lower = None
-    if lower is None or np.min(np.diag(lower)) ** 2 <= _PIVOT_RTOL * np.max(np.diag(gram)):
+    lower, solved = _cholesky_factor((design.T @ design)[None])
+    if not solved[0]:
         raise RankDeficiencyError("design matrix is rank deficient (collinear predictors)")
-    coef = np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ response))
-    return coef, lower
+    return _cholesky_substitute(lower, (design.T @ response)[None])[0], lower[0]
 
 
 def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,9 +226,9 @@ def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np
     ``(r, p, n)``, and ``response`` the matching ``(r, n)`` outcomes; the
     coefficients come back as ``(r, p)``.  With ``n >= p`` each system is
     solved through its normal equations, and a regression counts as unsolved
-    under the pivot rule of :func:`solve_normal_equations`; its coefficients
-    are then meaningless.  With ``n < p`` every regression gets the
-    minimum-norm solution, with the singular-value cutoff of
+    under the pivot rule of :func:`_cholesky_factor`; its coefficients are
+    then meaningless.  With ``n < p`` every regression gets the minimum-norm
+    solution, with the singular-value cutoff of
     ``numpy.linalg.lstsq(rcond=None)``.
 
     ``einsum`` forms the normal equations without BLAS, so no BLAS thread is
@@ -244,21 +238,19 @@ def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np
     if n < p:
         pinv = np.linalg.pinv(design, rcond=max(n, p) * np.finfo(float).eps)  # (r, n, p)
         return np.einsum("rnp,rn->rp", pinv, response), np.ones(r, dtype=bool)
-    gram = np.einsum("rin,rjn->rij", design, design)
-    moment = np.einsum("rin,rn->ri", design, response)
-    return _cholesky_solve(gram, moment)
+    lower, solved = _cholesky_factor(np.einsum("rin,rjn->rij", design, design))
+    return _cholesky_substitute(lower, np.einsum("rin,rn->ri", design, response)), solved
 
 
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``gram[k] @ b = rhs[k]`` for a stack of symmetric matrices.
+def _cholesky_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of symmetric matrices, and which passed.
 
-    The Cholesky factor is built one column at a time across the whole stack.
-    A matrix fails, as in :func:`solve_normal_equations`, when a pivot
-    ``diag(L)**2`` is not above 1e-10 times its largest diagonal entry (or is
-    not a number); from its first failed pivot on, its factor continues as
-    the identity so that the other matrices' arithmetic stays finite.
-    ``numpy.linalg.cholesky`` cannot be used here: one failed matrix makes it
-    raise for the whole stack.
+    The factor is built one column at a time across the whole stack.  A
+    matrix fails when a pivot ``diag(L)**2`` is not above 1e-10 times its
+    largest diagonal entry (or is not a number); from its first failed pivot
+    on, its factor continues as the identity so that the other matrices'
+    arithmetic stays finite.  LAPACK's Cholesky cannot be used here: one
+    failed matrix makes it raise for the whole stack.
     """
     r, p, _ = gram.shape
     floor = _PIVOT_RTOL * np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
@@ -272,12 +264,17 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
         lower[:, j, j] = pivot
         below = gram[:, j + 1:, j] - np.einsum("rij,rj->ri", lower[:, j + 1:, :j], row)
         lower[:, j + 1:, j] = np.where(solved[:, None], below / pivot[:, None], 0.0)
+    return lower, solved
+
+
+def _cholesky_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L Lt b = rhs`` for stacks of lower factors ``L`` and vectors ``rhs``."""
     coef = np.empty_like(rhs)
-    for j in range(p):  # L z = rhs
+    for j in range(rhs.shape[1]):  # L z = rhs
         coef[:, j] = (rhs[:, j] - np.einsum("ri,ri->r", lower[:, j, :j], coef[:, :j])) / lower[:, j, j]
-    for j in reversed(range(p)):  # Lt b = z
+    for j in reversed(range(rhs.shape[1])):  # Lt b = z
         coef[:, j] = (coef[:, j] - np.einsum("ri,ri->r", lower[:, j + 1:, j], coef[:, j + 1:])) / lower[:, j, j]
-    return coef, solved
+    return coef
 
 
 def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult:
@@ -301,7 +298,8 @@ def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult
     for i, name in enumerate(predictors, start=1):
         design[:, i] = data.column(name)
     coef, lower = solve_normal_equations(design, y)
-    inv = np.linalg.solve(lower.T, np.linalg.solve(lower, np.eye(p)))
+    # Column k of (XtX)^-1 solves XtX b = e_k against the same factor.
+    inv = _cholesky_substitute(np.broadcast_to(lower, (p, p, p)), np.eye(p))
     residuals = y - design @ coef
     sigma2 = float(residuals @ residuals) / (n - p)
     sigma = math.sqrt(sigma2)

@@ -4,13 +4,16 @@ Everything here is deliberately independent of the package's algorithms:
 explicit path enumeration, naive transitive closures, and exhaustive subset
 search.  Validity of an adjustment set is decided through the equivalent
 formulation "d-separated in the graph with the treatment's outgoing edges
-removed", which never touches the library's backdoor-path machinery.
+removed", which never touches the library's backdoor-path machinery.  Least
+squares is checked against LAPACK's Cholesky and solver, one design at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
 
 from ovbkit.dag import CausalDag
 
@@ -128,3 +131,17 @@ def random_dag(
     ]
     latent = frozenset(n for n in names if rng.random() < 0.2)
     return CausalDag(frozenset(names), frozenset(edges), latent)
+
+
+def lapack_normal_equations(design: np.ndarray, response: np.ndarray) -> np.ndarray | None:
+    """OLS coefficients of one ``(n, p)`` design through LAPACK's Cholesky, or
+    None when XtX is not positive definite or its smallest pivot ``diag(L)**2``
+    is at most 1e-10 times its largest diagonal entry."""
+    gram = design.T @ design
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if np.min(np.diag(lower)) ** 2 <= 1e-10 * np.max(np.diag(gram)):
+        return None
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ response))

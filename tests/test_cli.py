@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -195,6 +196,13 @@ class TestEvalue:
         assert payload["estimate"] == pytest.approx(0.4, abs=0.02)
         assert payload["ci_evalue"] is not None
 
+    @pytest.mark.parametrize("spec", ["0:inf:1", "nan:1:0.1", "0.1:1:1e-320", "0:1:inf"])
+    def test_delta_range_without_a_finite_count(self, capsys, spec):
+        code, out, err = run(capsys, "evalue", "--estimate", "0.3", "--sigma", "1",
+                             "--delta-range", spec)
+        message = f"error: --delta-range {spec!r} needs finite values and step count\n"
+        assert (code, out, err) == (1, "", message)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -286,6 +294,27 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", str(bom))
         assert code == 0, err
         assert out == run(capsys, "simulate", str(config))[1]
+
+    @pytest.mark.parametrize("edits, cells", [
+        ({"grid.t_e": "grid.t_e = 1e308", "n": "n = 5, 50"}, 72),
+        ({"grid.t_e": "grid.t_e = 1e308", "grid.z_t": "param.z_t = 1e200", "n": "n = 5"}, 6),
+    ])
+    def test_overflowing_estimates_fail_their_cells(self, capsys, tmp_path, edits, cells):
+        # table5.conf with edge weights under which the outcome overflows, or
+        # the estimates sit so near the float limit that their mean does.  No
+        # cell may report an infinite or NaN estimate, and numpy stays quiet.
+        edits = {**edits, "repetitions": "repetitions = 20"}
+        lines = fixture_path("table5.conf").read_text().splitlines()
+        config = tmp_path / "overflow.conf"
+        config.write_text("\n".join(edits.get(line.split(" =")[0], line) for line in lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "simulate", str(config), "--json")
+        assert code == 1
+        assert err == "error: every sweep cell failed to produce estimates\n"
+        payload = json.loads(out)["cells"]
+        assert len(payload) == cells
+        assert all(cell["mean"] is None for cell in payload)
 
     def test_config_error(self, capsys, tmp_path):
         config = tmp_path / "broken.conf"

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from ovbkit import scm
 from ovbkit.dag import CausalDag
 from ovbkit.scm import (
     BernoulliExogenous,
@@ -233,6 +234,24 @@ class TestSweep:
         assert lines[0] == "t_e,z_e,z_t,n,mean,l50,u50,l95,u95,failures"
         assert len(lines) == 5
         assert all(line.count(",") == 9 for line in lines)
+
+    def test_non_finite_draws_never_reach_the_solver(self, monkeypatch):
+        # With z_t = 1e308 the treatment overflows to inf in some samples.
+        # The n < p path takes an SVD, which may never return on inf, so
+        # such draws must count as failed without being solved.
+        solve = scm._stacked_least_squares
+        fits = []
+
+        def finite_only(design, response):
+            assert np.isfinite(design).all()
+            fits.append(len(design))
+            return solve(design, response)
+
+        monkeypatch.setattr(scm, "_stacked_least_squares", finite_only)
+        text = SMALL_CONFIG.replace("grid.z_t = 0.1", "grid.z_t = 1e308")
+        result = run_sweep(parse_sweep_config(text.replace("n = 5, 20", "n = 5")))
+        assert sum(fits) > 2 * 40  # the overflowed repetitions were redrawn
+        assert all(cell.failed or np.isfinite(cell.mean) for cell in result.cells)
 
     def test_all_degenerate_draws_fail_the_cell(self):
         # A constant exogenous flag is always collinear with the intercept,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import lapack_normal_equations
 from ovbkit.stats import (
     Dataset,
     Interval,
@@ -244,24 +245,49 @@ def _near_collinear_design(rng, n: int, p: int) -> np.ndarray:
     return design
 
 
+def _near_collinear_stacks(rng) -> dict[tuple[int, int], np.ndarray]:
+    """10,000 transposed designs of n 6-59 and p 2-6, stacked by shape."""
+    stacks: dict[tuple[int, int], list[np.ndarray]] = {}
+    for _ in range(10_000):
+        n, p = int(rng.integers(6, 60)), int(rng.integers(2, 7))
+        stacks.setdefault((n, p), []).append(_near_collinear_design(rng, n, p))
+    return {shape: np.stack(designs) for shape, designs in stacks.items()}
+
+
+class TestSolveNormalEquations:
+    def test_same_decision_and_coefficients_as_lapack(self):
+        rng = np.random.default_rng(10)
+        outcomes = {True: 0, False: 0}
+        for (n, p), designs in _near_collinear_stacks(rng).items():
+            for design in designs:
+                response = rng.standard_normal(n)
+                expected = lapack_normal_equations(design.T, response)
+                outcomes[expected is not None] += 1
+                if expected is None:
+                    with pytest.raises(RankDeficiencyError, match="rank deficient"):
+                        solve_normal_equations(design.T, response)
+                    continue
+                coef, lower = solve_normal_equations(design.T, response)
+                gram = design @ design.T
+                assert np.array_equal(lower, np.tril(lower))
+                assert np.abs(lower @ lower.T - gram).max() <= 1e-12 * np.abs(gram).max()
+                # Both solvers are backward stable, so they may differ by about
+                # eps times the condition number of XtX, which reaches 1e10
+                # just inside the pivot rule.
+                bound = 1e-14 * np.linalg.cond(gram) * np.linalg.norm(expected)
+                assert np.linalg.norm(coef - expected) <= bound, (n, p)
+        assert min(outcomes.values()) > 2_000
+
+
 class TestStackedLeastSquares:
     def test_same_decision_as_solve_normal_equations(self):
         rng = np.random.default_rng(11)
-        stacks: dict[tuple[int, int], list[np.ndarray]] = {}
-        for _ in range(10_000):
-            n, p = int(rng.integers(6, 60)), int(rng.integers(2, 7))
-            stacks.setdefault((n, p), []).append(_near_collinear_design(rng, n, p))
         outcomes = {True: 0, False: 0}
-        for (n, p), designs in stacks.items():
-            design = np.stack(designs)
-            response = rng.standard_normal((len(designs), n))
+        for (n, p), design in _near_collinear_stacks(rng).items():
+            response = rng.standard_normal((len(design), n))
             coef, solved = _stacked_least_squares(design, response)
-            for k in range(len(designs)):
-                try:
-                    solve_normal_equations(design[k].T, response[k])
-                    expected = True
-                except RankDeficiencyError:
-                    expected = False
+            for k in range(len(design)):
+                expected = lapack_normal_equations(design[k].T, response[k]) is not None
                 assert solved[k] == expected, (n, p, k)
                 outcomes[expected] += 1
             assert np.isfinite(coef[solved]).all()
@@ -278,7 +304,7 @@ class TestStackedLeastSquares:
             coef, solved = _stacked_least_squares(design, response)
             assert solved.all()
             for k in range(40):
-                expected, _ = solve_normal_equations(design[k].T, response[k])
+                expected = lapack_normal_equations(design[k].T, response[k])
                 assert np.linalg.norm(coef[k] - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_fewer_rows_than_parameters_is_minimum_norm_lstsq(self):
