@@ -65,9 +65,24 @@ _EXPLAIN = {
     "simulate": "step 6: Monte Carlo sweep of estimate bias under hypothetical confounding.",
 }
 
+# The most deltas --delta-range accepts: each costs time and memory, and a
+# tiny STEP could otherwise ask for billions.
+_MAX_DELTAS = 100_000
 
-class UsageError(Exception):
+
+class UsageError(ValueError):
     pass
+
+
+def _finite_float(text: str) -> float:
+    """argparse ``type`` of the numeric flags: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # not a number at all: the same error as "nan"
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,6 +220,7 @@ def cmd_tip(args) -> int:
 
 
 def _parse_delta_range(spec: str) -> list[float]:
+    """The deltas LOW, LOW + STEP, ..., HIGH; checked before any is built."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError("--delta-range takes LOW:HIGH:STEP")
@@ -217,7 +233,16 @@ def _parse_delta_range(spec: str) -> list[float]:
     steps = (high - low) / step
     if not all(math.isfinite(v) for v in (low, high, step, steps)):
         raise UsageError(f"--delta-range {spec!r} needs finite values and step count")
-    return [float(d) for d in np.linspace(low, high, int(round(steps)) + 1)]
+    if low <= 0 or high > 1:
+        raise UsageError("--delta-range needs 0 < LOW and HIGH <= 1")
+    count = round(steps)
+    if count + 1 > _MAX_DELTAS:
+        raise UsageError(f"--delta-range {spec!r} asks for {count + 1} deltas; "
+                         f"at most {_MAX_DELTAS} are allowed")
+    # The tolerance absorbs float error in the division (0.9 / 0.1 is 8.999...).
+    if abs(steps - count) > 1e-6:
+        raise UsageError(f"--delta-range STEP must divide HIGH - LOW, got {spec!r}")
+    return [float(d) for d in np.linspace(low, high, count + 1)]
 
 
 def cmd_evalue(args) -> int:
@@ -368,23 +393,23 @@ def build_parser() -> _Parser:
     p.set_defaults(run=cmd_smd)
 
     p = sub.add_parser("tip", help="tipping-point analysis of a measured effect")
-    p.add_argument("--observed", type=float, required=True,
+    p.add_argument("--observed", type=_finite_float, required=True,
                    help="measured treatment-outcome effect")
     p.add_argument("--solve", choices=("smd", "effect", "n"), required=True)
-    p.add_argument("--smd", type=float, help="confounder-treatment SMD")
-    p.add_argument("--effect", type=float, help="confounder-outcome effect")
+    p.add_argument("--smd", type=_finite_float, help="confounder-treatment SMD")
+    p.add_argument("--effect", type=_finite_float, help="confounder-outcome effect")
     common(p)
     p.set_defaults(run=cmd_tip)
 
     p = sub.add_parser("evalue", help="E-value of a fitted effect")
-    p.add_argument("--estimate", type=float)
-    p.add_argument("--sigma", type=float, help="residual standard deviation")
-    p.add_argument("--se", type=float, help="standard error (adds a CI E-value)")
+    p.add_argument("--estimate", type=_finite_float)
+    p.add_argument("--sigma", type=_finite_float, help="residual standard deviation")
+    p.add_argument("--se", type=_finite_float, help="standard error (adds a CI E-value)")
     p.add_argument("--fit", metavar="CSV", help="derive estimate/se/sigma from a fit")
     p.add_argument("--outcome", help="outcome column for --fit")
     p.add_argument("--treatment", help="treatment column for --fit")
     p.add_argument("--covariates", help="comma-separated extra predictors for --fit")
-    p.add_argument("--delta", type=float, help="treatment change of interest")
+    p.add_argument("--delta", type=_finite_float, help="treatment change of interest")
     p.add_argument("--delta-range", metavar="LOW:HIGH:STEP",
                    help="sweep delta and emit a CSV curve")
     common(p)
@@ -407,9 +432,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{_WORKFLOW}\n`{args.command}` serves {_EXPLAIN[args.command]}",
                   file=sys.stderr)
         return args.run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # The reader of stdout left early (``| head``); that is not an input
         # error.  Point stdout at devnull so the exit-time flush cannot fail.

@@ -357,8 +357,6 @@ class SweepCell:
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     grid_names: tuple[str, ...]
-    sample_sizes: tuple[int, ...]
-    repetitions: int
     cells: tuple[SweepCell, ...]
 
     def cell(self, n: int, **params: float) -> SweepCell:
@@ -438,7 +436,8 @@ def _draw_estimates(
 
     Returns the first predictor's coefficient per repetition and which
     repetitions were solved.  Extreme edge weights can overflow a draw; a
-    repetition with a non-finite design or coefficient counts as unsolved.
+    repetition whose design's sum of squares overflows, or whose coefficient
+    is not finite, counts as unsolved.
     The draws are freed on return, before the caller makes the next one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -447,8 +446,10 @@ def _draw_estimates(
         design[:, 0] = 1.0
         for i, name in enumerate(predictors, start=1):
             design[:, i] = columns[name]
-        finite = np.isfinite(design).all(axis=(1, 2))
-        design[~finite] = 0.0  # LAPACK's SVD may never return on inf or NaN
+        finite = np.isfinite(np.einsum("rin,rin->r", design, design))
+        # Such a design's Gram matrix or SVD would overflow, and LAPACK's SVD
+        # may never return on inf or NaN.
+        design[~finite] = 0.0
         coef, solved = _stacked_least_squares(design, columns[outcome])
     return coef[:, 1], solved & finite & np.isfinite(coef[:, 1])
 
@@ -483,7 +484,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 ))
             else:
                 cells.append(SweepCell(params, n, None, None, None, failures))
-    return SweepResult(config.grid_names, config.sample_sizes, config.repetitions, tuple(cells))
+    return SweepResult(config.grid_names, tuple(cells))
 
 
 def expected_treatment_estimate(t_e: float, z_e: float, z_t: float) -> float:
@@ -502,20 +503,19 @@ def expected_treatment_estimate(t_e: float, z_e: float, z_t: float) -> float:
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
 
 
-def parse_sweep_config(text: str, template: ScmTemplate | None = None) -> SweepConfig:
+def parse_sweep_config(text: str) -> SweepConfig:
     """Parse the key-value sweep config format.
 
     One ``key = value`` pair per line, ``#`` comments.  Keys: ``grid.<param>``
     (comma-separated values swept over), ``param.<param>`` (fixed value),
     ``n`` (comma-separated sample sizes), ``repetitions``, ``seed``,
     ``outcome``, and ``predictors`` (comma-separated; first is the treatment).
-    Without an explicit template the bundled team-effort model is used.
+    The config binds the bundled team-effort model.
     """
-    if template is None:
-        template = team_effort_template()
     grid: dict[str, tuple[float, ...]] = {}
     fixed: dict[str, float] = {}
     scalars: dict[str, str] = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -523,13 +523,14 @@ def parse_sweep_config(text: str, template: ScmTemplate | None = None) -> SweepC
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key or not _KEY_RE.match(key):
             raise ScmError(f"config line {lineno}: expected 'key = value'")
+        if key in seen:
+            raise ScmError(f"config line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         if key.startswith("grid."):
-            grid[_dedup(key, grid, lineno)] = _floats(value, lineno)
+            grid[key.split(".", 1)[1]] = _floats(value, lineno)
         elif key.startswith("param."):
-            fixed[_dedup(key, fixed, lineno)] = _float(value, lineno)
+            fixed[key.split(".", 1)[1]] = _float(value, lineno)
         else:
-            if key in scalars:
-                raise ScmError(f"config line {lineno}: duplicate key {key!r}")
             scalars[key] = value
     known = {"n", "repetitions", "seed", "outcome", "predictors"}
     unknown = set(scalars) - known
@@ -545,7 +546,7 @@ def parse_sweep_config(text: str, template: ScmTemplate | None = None) -> SweepC
     except ValueError as exc:
         raise ScmError(f"bad integer in config: {exc}") from None
     return SweepConfig(
-        template=template,
+        template=team_effort_template(),
         grid=grid,
         fixed=fixed,
         sample_sizes=sizes,
@@ -554,13 +555,6 @@ def parse_sweep_config(text: str, template: ScmTemplate | None = None) -> SweepC
         predictors=tuple(p.strip() for p in scalars["predictors"].split(",")),
         seed=seed,
     )
-
-
-def _dedup(key: str, seen: Mapping[str, object], lineno: int) -> str:
-    name = key.split(".", 1)[1]
-    if name in seen:
-        raise ScmError(f"config line {lineno}: duplicate key {key!r}")
-    return name
 
 
 def _float(value: str, lineno: int) -> float:
@@ -580,5 +574,5 @@ def _floats(value: str, lineno: int) -> tuple[float, ...]:
     return tuple(_float(p, lineno) for p in parts)
 
 
-def load_sweep_config(path: str | Path, template: ScmTemplate | None = None) -> SweepConfig:
-    return parse_sweep_config(Path(path).read_bytes().decode("utf-8-sig"), template)
+def load_sweep_config(path: str | Path) -> SweepConfig:
+    return parse_sweep_config(Path(path).read_bytes().decode("utf-8-sig"))

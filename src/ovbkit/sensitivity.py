@@ -14,6 +14,7 @@ E = RR + sqrt(RR * (RR - 1)).
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass
@@ -62,15 +63,12 @@ class TipInput:
     observed_effect: float
     confounder_outcome_effect: float | None = None
     confounder_smd: float | None = None
-    n_confounders: int = 1
 
     def __post_init__(self):
         if self.confounder_outcome_effect is None and self.confounder_smd is None:
             raise SensitivityError(
                 "provide at least one of the confounder effect or its SMD"
             )
-        if self.n_confounders < 1:
-            raise SensitivityError("confounder count must be at least 1")
 
 
 def adjusted_effect(
@@ -273,7 +271,8 @@ def evalue_curve(
 
 def evalue_curve_csv(rows: Iterable[EValuePoint]) -> str:
     buf = io.StringIO()
-    buf.write("label,delta,evalue\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("label", "delta", "evalue"))
     for row in rows:
-        buf.write(f"{row.label},{row.delta!r},{row.evalue!r}\n")
+        writer.writerow((row.label, repr(row.delta), repr(row.evalue)))
     return buf.getvalue()

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _PIVOT_RTOL = 1e-10
+_TOO_LARGE = "values too large to fit"
 
 
 class StatsError(ValueError):
@@ -210,13 +211,18 @@ class FitResult:
 def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients and the lower Cholesky factor L of XtX = L Lt.
 
-    Raises :class:`RankDeficiencyError` when a pivot ``diag(L)**2`` is not
-    above 1e-10 times the largest diagonal entry of XtX.
+    Raises :class:`StatsError` when XtX or Xty overflows, and
+    :class:`RankDeficiencyError` when a pivot ``diag(L)**2`` is not above
+    1e-10 times the largest diagonal entry of XtX.
     """
-    lower, solved = _cholesky_factor((design.T @ design)[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, moment = design.T @ design, design.T @ response
+    if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+        raise StatsError(_TOO_LARGE)
+    lower, solved = _cholesky_factor(gram[None])
     if not solved[0]:
         raise RankDeficiencyError("design matrix is rank deficient (collinear predictors)")
-    return _cholesky_substitute(lower, (design.T @ response)[None])[0], lower[0]
+    return _cholesky_substitute(lower, moment[None])[0], lower[0]
 
 
 def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +287,8 @@ def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult
     """Fit ``outcome ~ 1 + predictors`` by ordinary least squares.
 
     Raises :class:`RankDeficiencyError` for collinear predictors and
-    :class:`StatsError` for unknown columns or too few rows.
+    :class:`StatsError` for unknown columns, too few rows, or values so large
+    that a sum of squares overflows.
     """
     predictors = list(predictors)
     if len(set(predictors)) != len(predictors):
@@ -300,10 +307,14 @@ def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult
     coef, lower = solve_normal_equations(design, y)
     # Column k of (XtX)^-1 solves XtX b = e_k against the same factor.
     inv = _cholesky_substitute(np.broadcast_to(lower, (p, p, p)), np.eye(p))
-    residuals = y - design @ coef
-    sigma2 = float(residuals @ residuals) / (n - p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = y - design @ coef
+        sigma2 = float(residuals @ residuals) / (n - p)
+        variances = sigma2 * np.diag(inv)
+    if not np.isfinite(variances).all():
+        raise StatsError(_TOO_LARGE)
     sigma = math.sqrt(sigma2)
-    errors = np.sqrt(sigma2 * np.diag(inv))
+    errors = np.sqrt(variances)
     return FitResult(
         intercept=float(coef[0]),
         coefficients={name: float(c) for name, c in zip(predictors, coef[1:])},

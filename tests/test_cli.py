@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import warnings
 
 import pytest
 
-from ovbkit.cli import main
+from ovbkit.cli import _parse_delta_range, main
 from ovbkit.fixtures import fixture_path
 from ovbkit.scm import confounded_scm, load_sweep_config, sample
 
@@ -221,6 +222,72 @@ class TestEvalue:
         assert code == 1
         assert "error" in err
 
+    def test_benchmark_range_deltas(self, capsys):
+        code, out, _ = run(capsys, "evalue", "--estimate", "1", "--sigma", "1",
+                           "--delta-range", "0.1:1.0:0.1")
+        assert code == 0
+        assert [line.split(",")[1] for line in out.splitlines()] == [
+            "delta", "0.1", "0.2", "0.30000000000000004", "0.4", "0.5", "0.6",
+            "0.7000000000000001", "0.8", "0.9", "1.0",
+        ]
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0.1:1:0.25", "--delta-range STEP must divide HIGH - LOW, got '0.1:1:0.25'"),
+        ("0.1:1000000:1", "--delta-range needs 0 < LOW and HIGH <= 1"),
+        ("0:1:0.1", "--delta-range needs 0 < LOW and HIGH <= 1"),
+        ("0.1:1:1e-9", "--delta-range '0.1:1:1e-9' asks for 900000001 deltas; "
+                       "at most 100000 are allowed"),
+        ("0.000005:1:0.000005", "--delta-range '0.000005:1:0.000005' asks for "
+                                "200000 deltas; at most 100000 are allowed"),
+    ], ids=["step-does-not-divide", "high-above-1", "low-at-0", "900M-deltas", "200k-deltas"])
+    def test_delta_range_is_checked_before_the_grid_is_built(
+        self, capsys, monkeypatch, spec, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr("ovbkit.cli.np.linspace", refuse)
+        code, out, err = run(capsys, "evalue", "--estimate", "0.3", "--sigma", "1",
+                             "--delta-range", spec)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_delta_range_at_the_cap(self):
+        deltas = _parse_delta_range("0.00001:1:0.00001")
+        assert len(deltas) == 100_000
+        assert (deltas[0], deltas[-1]) == (0.00001, 1.0)
+
+    def test_delta_range_quotes_labels(self, capsys, tmp_path):
+        csv_path = tmp_path / "dose.csv"
+        csv_path.write_text('y,"dose, mg"\n' + "".join(
+            f"{i + (-1) ** i * 0.5},{i}\n" for i in range(10)
+        ))
+        code, out, err = run(capsys, "evalue", "--fit", str(csv_path), "--outcome", "y",
+                             "--treatment", "dose, mg", "--delta-range", "0.5:1:0.5")
+        assert code == 0, err
+        header, *rows = csv.reader(out.splitlines())
+        assert header == ["label", "delta", "evalue"]
+        assert len(rows) == 2
+        assert all(len(row) == 3 and row[0] == "dose, mg" for row in rows)
+
+
+class TestFiniteFlags:
+    TIP = ["tip", "--observed", "0.3", "--solve", "n", "--smd", "0.5", "--effect", "0.4"]
+    EVALUE = ["evalue", "--estimate", "1", "--sigma", "1", "--se", "0.1", "--delta", "0.5"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    @pytest.mark.parametrize("flag", [
+        "--observed", "--smd", "--effect", "--estimate", "--sigma", "--se", "--delta",
+    ])
+    def test_non_finite_value_is_a_usage_error(self, capsys, flag, value):
+        argv = list(self.TIP if flag in self.TIP else self.EVALUE)
+        assert run(capsys, *argv)[0] == 0
+        at = argv.index(flag)
+        argv[at:at + 2] = [f"{flag}={value}"]  # "-inf" alone would read as a flag
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: ovbkit {argv[0]}: argument {flag}: "
+                       f"expected a finite number, got {value!r}\n")
+
 
 class TestSimulate:
     def test_writes_csv_and_manifest(self, capsys, tmp_path):
@@ -298,11 +365,13 @@ class TestSimulate:
     @pytest.mark.parametrize("edits, cells", [
         ({"grid.t_e": "grid.t_e = 1e308", "n": "n = 5, 50"}, 72),
         ({"grid.t_e": "grid.t_e = 1e308", "grid.z_t": "param.z_t = 1e200", "n": "n = 5"}, 6),
+        ({"grid.t_e": "grid.t_e = 0.1", "grid.z_t": "param.z_t = 1e308", "n": "n = 5"}, 6),
     ])
     def test_overflowing_estimates_fail_their_cells(self, capsys, tmp_path, edits, cells):
-        # table5.conf with edge weights under which the outcome overflows, or
-        # the estimates sit so near the float limit that their mean does.  No
-        # cell may report an infinite or NaN estimate, and numpy stays quiet.
+        # table5.conf with edge weights under which the outcome overflows, the
+        # estimates sit so near the float limit that their mean does, or the
+        # treatment column is finite but too large to regress.  No cell may
+        # report an estimate, and numpy stays quiet.
         edits = {**edits, "repetitions": "repetitions = 20"}
         lines = fixture_path("table5.conf").read_text().splitlines()
         config = tmp_path / "overflow.conf"
@@ -423,6 +492,23 @@ class TestFitAndSmd:
                            "--predictors", "x,x2")
         assert code == 1
         assert "rank deficient" in err
+
+    @pytest.mark.parametrize("text", [
+        "y,x\n1e200,1\n2e200,3\n-1e200,2\n5,7\n",
+        "y,x\n1,1e200\n2,3e200\n-1,2e200\n5,7\n",
+    ], ids=["huge-outcome", "huge-predictor"])
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--outcome", "y", "--predictors", "x"),
+        ("fit", "--outcome", "y", "--predictors", "x", "--json"),
+        ("evalue", "--outcome", "y", "--treatment", "x", "--delta", "1", "--fit"),
+    ])
+    def test_overflowing_fit_is_one_line_error(self, capsys, tmp_path, text, argv):
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, str(csv_path))
+        assert (code, out, err) == (1, "", "error: values too large to fit\n")
 
     @pytest.mark.parametrize("argv", [
         ("fit", "--outcome", "y", "--predictors", "t"),

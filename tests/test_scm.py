@@ -180,8 +180,10 @@ class TestConfigParsing:
             parse_sweep_config(SMALL_CONFIG.replace(old, new))
 
     def test_duplicate_key(self):
-        with pytest.raises(ScmError):
-            parse_sweep_config(SMALL_CONFIG + "\nseed = 1")
+        lineno = SMALL_CONFIG.count("\n") + 2
+        for key in ("seed", "grid.t_e", "param.s_t"):
+            with pytest.raises(ScmError, match=f"^config line {lineno}: duplicate key '{key}'$"):
+                parse_sweep_config(f"{SMALL_CONFIG}\n{key} = 0.5")
 
     def test_config_file_is_utf8_in_any_locale(self, tmp_path):
         path = tmp_path / "sweep.conf"
