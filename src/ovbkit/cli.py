@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .adjustment import (
     CausalQuery,
@@ -242,7 +240,16 @@ def _parse_delta_range(spec: str) -> list[float]:
     # The tolerance absorbs float error in the division (0.9 / 0.1 is 8.999...).
     if abs(steps - count) > 1e-6:
         raise UsageError(f"--delta-range STEP must divide HIGH - LOW, got {spec!r}")
-    return [float(d) for d in np.linspace(low, high, count + 1)]
+    return _evenly_spaced(low, high, count)
+
+
+def _evenly_spaced(low: float, high: float, count: int) -> list[float]:
+    """``count + 1`` values from ``low`` to ``high``, bit for bit as
+    ``numpy.linspace(low, high, count + 1)`` computes them."""
+    if count == 0:
+        return [low]
+    step = (high - low) / count
+    return [i * step + low for i in range(count)] + [high]
 
 
 def cmd_evalue(args) -> int:
@@ -261,6 +268,10 @@ def cmd_evalue(args) -> int:
         sigma = fit.sigma
         label = args.treatment
     else:
+        if (args.outcome, args.treatment, args.covariates) != (None, None, None):
+            raise UsageError("--outcome, --treatment and --covariates require --fit")
+        if args.se is not None and args.delta_range is not None:
+            raise UsageError("--se conflicts with --delta-range: a curve holds point E-values only")
         if args.estimate is None or args.sigma is None:
             raise UsageError("pass --estimate and --sigma, or --fit with column names")
         estimate, sigma = args.estimate, args.sigma
@@ -297,6 +308,8 @@ def cmd_evalue(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.output is not None and args.json:
+        raise UsageError("--json conflicts with --output")
     manifest = RunManifest("simulate")
     config = parse_sweep_config(manifest.add_input(args.config).decode("utf-8-sig"))
     manifest.seed = config.seed

@@ -402,12 +402,9 @@ def _cell_estimates(
     that produced one, in repetition order, and the number that did not.
 
     Repetitions are sampled and regressed a block at a time.  A repetition
-    whose draw is rank deficient or gives a non-finite estimate is redrawn,
-    together with the block's other failures, from the next attempt's seed,
-    and counts as failed after three retries.  When n is smaller than the
-    parameter count the exact solve is impossible, so the minimum-norm
-    least-squares solution is reported instead; only a non-finite one is
-    redrawn.
+    that :func:`_stacked_least_squares` leaves unsolved is redrawn, together
+    with the block's other failures, from the next attempt's seed, and counts
+    as failed after three retries.
     """
     block = max(1, _BLOCK_VALUES // n)
     estimates = np.empty(repetitions)
@@ -435,23 +432,18 @@ def _draw_estimates(
     """Draw ``shape = (r, n)``: r repetitions of n samples, then regress each.
 
     Returns the first predictor's coefficient per repetition and which
-    repetitions were solved.  Extreme edge weights can overflow a draw; a
-    repetition whose design's sum of squares overflows, or whose coefficient
-    is not finite, counts as unsolved.
+    repetitions :func:`_stacked_least_squares` solved.  Extreme edge weights
+    can overflow a draw; the solver leaves such a repetition unsolved.
     The draws are freed on return, before the caller makes the next one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         columns = _sample_columns(spec, shape, _rng_from(seed))
-        design = np.empty((shape[0], len(predictors) + 1, shape[1]))
-        design[:, 0] = 1.0
-        for i, name in enumerate(predictors, start=1):
-            design[:, i] = columns[name]
-        finite = np.isfinite(np.einsum("rin,rin->r", design, design))
-        # Such a design's Gram matrix or SVD would overflow, and LAPACK's SVD
-        # may never return on inf or NaN.
-        design[~finite] = 0.0
-        coef, solved = _stacked_least_squares(design, columns[outcome])
-    return coef[:, 1], solved & finite & np.isfinite(coef[:, 1])
+    design = np.empty((shape[0], len(predictors) + 1, shape[1]))
+    design[:, 0] = 1.0
+    for i, name in enumerate(predictors, start=1):
+        design[:, i] = columns[name]
+    coef, solved = _stacked_least_squares(design, columns[outcome])
+    return coef[:, 1], solved
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -462,17 +454,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     and 95% HPD intervals are summarized per cell.  Results are bit-identical
     across runs of the same config.
     """
-    points = config.grid_points()
-    specs = [
-        config.template.bind({**config.fixed, **dict(zip(config.grid_names, point))})
-        for point in points
-    ]
     cells = []
-    for gi, point in enumerate(points):
+    for gi, point in enumerate(config.grid_points()):
+        params = dict(zip(config.grid_names, point))
+        spec = config.template.bind({**config.fixed, **params})
         for si, n in enumerate(config.sample_sizes):
-            params = dict(zip(config.grid_names, point))
             estimates, failures = _cell_estimates(
-                specs[gi], n, config.outcome, config.predictors, config.repetitions,
+                spec, n, config.outcome, config.predictors, config.repetitions,
                 (config.seed, gi, si),
             )
             failed = failures > 0.1 * config.repetitions

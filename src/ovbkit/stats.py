@@ -231,21 +231,30 @@ def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np
     ``design`` holds one transposed design matrix per regression, shape
     ``(r, p, n)``, and ``response`` the matching ``(r, n)`` outcomes; the
     coefficients come back as ``(r, p)``.  With ``n >= p`` each system is
-    solved through its normal equations, and a regression counts as unsolved
-    under the pivot rule of :func:`_cholesky_factor`; its coefficients are
-    then meaningless.  With ``n < p`` every regression gets the minimum-norm
-    solution, with the singular-value cutoff of
-    ``numpy.linalg.lstsq(rcond=None)``.
+    solved through its normal equations, and fails under the pivot rule of
+    :func:`_cholesky_factor`, which no non-finite XtX passes.  With ``n < p``
+    each gets the minimum-norm solution, with the singular-value cutoff of
+    ``numpy.linalg.lstsq(rcond=None)``, and fails if its design's sum of
+    squares overflows.  A regression that fails, or has a non-finite
+    coefficient, is unsolved; its coefficients are then meaningless.
 
     ``einsum`` forms the normal equations without BLAS, so no BLAS thread is
     started for large ``n``.
     """
-    r, p, n = design.shape
-    if n < p:
-        pinv = np.linalg.pinv(design, rcond=max(n, p) * np.finfo(float).eps)  # (r, n, p)
-        return np.einsum("rnp,rn->rp", pinv, response), np.ones(r, dtype=bool)
-    lower, solved = _cholesky_factor(np.einsum("rin,rjn->rij", design, design))
-    return _cholesky_substitute(lower, np.einsum("rin,rn->ri", design, response)), solved
+    _, p, n = design.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n < p:
+            # LAPACK's SVD may never return on inf or NaN, so such designs
+            # are zeroed before it runs.
+            solved = np.isfinite(np.einsum("rin,rin->r", design, design))
+            if not solved.all():
+                design = np.where(solved[:, None, None], design, 0.0)
+            pinv = np.linalg.pinv(design, rcond=max(n, p) * np.finfo(float).eps)  # (r, n, p)
+            coef = np.einsum("rnp,rn->rp", pinv, response)
+        else:
+            lower, solved = _cholesky_factor(np.einsum("rin,rjn->rij", design, design))
+            coef = _cholesky_substitute(lower, np.einsum("rin,rn->ri", design, response))
+    return coef, solved & np.isfinite(coef).all(axis=1)
 
 
 def _cholesky_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,6 +371,10 @@ def scaled_mean_diff(
             raise StatsError(f"unknown group tag {tag!r}")
         if group.size < 2:
             raise StatsError(f"group {tag!r} needs at least two members")
+        # The ratio does not depend on the group's scale, so the group is
+        # divided by a power of two near its largest magnitude: that is exact,
+        # and keeps huge values from overflowing and tiny ones from underflowing.
+        group = np.ldexp(group, -np.frexp(np.max(np.abs(group)))[1])
         spread = float(np.std(group, ddof=1))
         if spread == 0.0:
             raise StatsError(f"group {tag!r} has zero spread")

@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ovbkit.cli import _parse_delta_range, main
@@ -67,7 +69,7 @@ class TestAdjust:
         assert code == 0
         assert payload["observed_sets"] == [["O", "S"]]
         assert payload["exists_observed_only"] is True
-        digest = hashlib.sha256(open(productivity, "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(productivity).read_bytes()).hexdigest()
         assert payload["manifest"]["inputs"][productivity] == digest
 
     def test_flag_overrides_file_roles(self, capsys, productivity):
@@ -246,9 +248,43 @@ class TestEvalue:
         def refuse(*args, **kwargs):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr("ovbkit.cli.np.linspace", refuse)
+        monkeypatch.setattr("ovbkit.cli._evenly_spaced", refuse)
         code, out, err = run(capsys, "evalue", "--estimate", "0.3", "--sigma", "1",
                              "--delta-range", spec)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_delta_range_matches_numpy_linspace(self):
+        # The grid is linspace's own arithmetic, so the curve's deltas keep
+        # the bytes they had when numpy built them.
+        rng = np.random.default_rng(16)
+        specs = ["0.1:1.0:0.1", "0.00001:1:0.00001", "0.5:0.5:0.1"]
+        for _ in range(20_000):
+            low, high = (float(v) for v in np.sort(rng.uniform(1e-6, 1.0, 2)))
+            count = int(rng.integers(1, 100))
+            specs.append(f"{low!r}:{high!r}:{(high - low) / count!r}")
+        built = 0
+        for spec in specs:
+            try:
+                deltas = _parse_delta_range(spec)
+            except ValueError:
+                continue
+            low, high = (float(v) for v in spec.split(":")[:2])
+            expected = np.linspace(low, high, len(deltas))
+            assert np.array(deltas).tobytes() == expected.tobytes(), spec
+            built += 1
+        assert built > 19_000
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--estimate", "1", "--sigma", "1", "--delta", "0.5",
+          "--outcome", "y", "--treatment", "t", "--covariates", "a,b"],
+         "--outcome, --treatment and --covariates require --fit"),
+        (["--estimate", "1", "--sigma", "1", "--delta", "0.5", "--covariates", "a"],
+         "--outcome, --treatment and --covariates require --fit"),
+        (["--estimate", "1", "--sigma", "1", "--se", "0.1", "--delta-range", "0.5:1:0.5"],
+         "--se conflicts with --delta-range: a curve holds point E-values only"),
+    ], ids=["fit-columns-without-fit", "covariates-without-fit", "se-with-curve"])
+    def test_ignored_flags_are_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, "evalue", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_delta_range_at_the_cap(self):
@@ -312,6 +348,22 @@ class TestSimulate:
         assert run(capsys, "simulate", str(config), "-o", str(first))[0] == 0
         assert run(capsys, "simulate", str(config), "-o", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_json_with_output_is_refused(self, capsys, tmp_path, monkeypatch):
+        def refuse(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("ovbkit.cli.run_sweep", refuse)
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG)
+        out_csv = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "simulate", str(config), "-o", str(out_csv), "--json")
+        assert (code, out, err) == (1, "", "error: --json conflicts with --output\n")
+        assert list(tmp_path.iterdir()) == [config]
+        # The check comes before the config is read.
+        missing = tmp_path / "missing.conf"
+        code, _, err = run(capsys, "simulate", str(missing), "-o", str(out_csv), "--json")
+        assert (code, err) == (1, "error: --json conflicts with --output\n")
 
     def test_out_of_memory_is_one_line_error(self, capsys, tmp_path, monkeypatch):
         def exhausted(config):
@@ -552,6 +604,24 @@ class TestFitAndSmd:
                            "--group", "language", "--treat", "python", "--ref", "java")
         assert code == 0
         assert "0.0000" in out
+
+    @pytest.mark.parametrize("scale", ["e200", "e-320"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_smd_at_any_scale(self, capsys, tmp_path, scale, as_json):
+        # Group a is 1, 2, 3 times a huge or subnormal unit; its standardized
+        # mean is 2 at any scale, so the SMD is 2 - (7/3) / sqrt(7/3).
+        csv_path = tmp_path / "scaled.csv"
+        csv_path.write_text(f"v,g\n1{scale},a\n2{scale},a\n3{scale},a\n1,b\n2,b\n4,b\n")
+        flags = ["--json"] if as_json else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "smd", str(csv_path), "--value", "v", "--group", "g",
+                                 "--treat", "a", "--ref", "b", *flags)
+        assert code == 0, err
+        if as_json:
+            assert json.loads(out)["smd"] == pytest.approx(0.472474768348053, abs=1e-12)
+        else:
+            assert out == "SMD(a - b) = 0.4725\n"
 
     def test_smd_json(self, capsys, tmp_path):
         csv_path = tmp_path / "groups.csv"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,41 @@ class TestStackedLeastSquares:
             assert np.linalg.norm(expected) > 1e6
             assert np.linalg.norm(coef[k] - expected) <= 1e-4 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("n", [5, 10, 50], ids=["n<p", "n=10", "n=50"])
+    def test_non_finite_designs_are_unsolved(self, monkeypatch, n):
+        # The sweep's shape: an intercept and five predictors.  Regressions
+        # 0-3 get one inf, NaN, 1e200 or 1e308 entry.  Regression 4 gets two
+        # columns at 1.3e154 in one row: each column's sum of squares is
+        # finite, the design's total is not.  Regression 5 has a finite
+        # design but an infinite outcome, so its coefficients are not finite.
+        rng = np.random.default_rng(15)
+        clean = np.concatenate([np.ones((12, 1, n)), rng.standard_normal((12, 5, n))], axis=1)
+        response = rng.standard_normal((12, n))
+        design = clean.copy()
+        for k, value in enumerate([np.inf, np.nan, 1e200, 1e308]):
+            design[k, k + 1, 0] = value
+        design[4, 1:3, 1] = 1.3e154
+        outcome = response.copy()
+        outcome[5, 2] = np.inf
+        pinv, designs = np.linalg.pinv, []
+
+        def finite_only(a, *args, **kwargs):
+            assert np.isfinite(a).all()
+            designs.append(len(a))
+            return pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", finite_only)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected, expected_solved = _stacked_least_squares(clean, response)
+            coef, solved = _stacked_least_squares(design, outcome)
+        assert designs == ([12, 12] if n < 6 else [])
+        assert not solved[:6].any()
+        assert expected_solved.all()
+        assert solved[6:].all()
+        assert coef[6:].tobytes() == expected[6:].tobytes()
+        assert np.isfinite(coef[solved]).all()
+
 
 class TestHpdi:
     def test_all_equal(self):
@@ -393,6 +429,18 @@ class TestScaledMeanDiff:
         labels = ["x"] * 15 + ["y"] * 15
         forward = scaled_mean_diff(values, labels, "x", "y")
         assert scaled_mean_diff(values, labels, "y", "x") == pytest.approx(-forward)
+
+    @pytest.mark.parametrize("exponent", [-900, -500, 500, 1000])
+    def test_power_of_two_scale_keeps_the_bits(self, exponent):
+        # At 2**1000 the squared deviations overflow; at 2**-900 they underflow.
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=40) + 0.3
+        labels = ["t", "r"] * 20
+        expected = scaled_mean_diff(values, labels, "t", "r")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = scaled_mean_diff(np.ldexp(values, exponent), labels, "t", "r")
+        assert scaled == expected
 
     def test_degenerate_groups(self):
         with pytest.raises(StatsError):
