@@ -253,6 +253,9 @@ def _evenly_spaced(low: float, high: float, count: int) -> list[float]:
 
 
 def cmd_evalue(args) -> int:
+    if (args.delta is None) == (args.delta_range is None):
+        raise UsageError("pass exactly one of --delta or --delta-range")
+    deltas = None if args.delta_range is None else _parse_delta_range(args.delta_range)
     manifest = RunManifest("evalue")
     label = "estimate"
     if args.fit is not None:
@@ -276,8 +279,6 @@ def cmd_evalue(args) -> int:
             raise UsageError("pass --estimate and --sigma, or --fit with column names")
         estimate, sigma = args.estimate, args.sigma
         std_error = args.se if args.se is not None else 0.0
-    if (args.delta is None) == (args.delta_range is None):
-        raise UsageError("pass exactly one of --delta or --delta-range")
 
     if args.delta is not None:
         result = evalue_ols(
@@ -296,7 +297,6 @@ def cmd_evalue(args) -> int:
             text += f"E-value at the 95% limit closer to the null: {result.ci_bound:.3f}\n"
         _emit(payload, text, manifest, args.json)
     else:
-        deltas = _parse_delta_range(args.delta_range)
         rows = evalue_curve([(label, estimate, std_error, sigma)], deltas)
         payload = {
             "estimate": estimate,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -71,40 +71,32 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _kahn(nodes: frozenset[str], edges: frozenset[tuple[str, str]]) -> list[str]:
+def _kahn(dag: CausalDag) -> tuple[str, ...]:
     """Topological order with lexicographic tie-breaking; raises CycleError."""
-    indegree = {n: 0 for n in nodes}
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    for tail, head in edges:
-        indegree[head] += 1
-        children[tail].append(head)
+    indegree = {n: len(ps) for n, ps in dag._parent_map.items()}
     ready = [n for n, d in indegree.items() if d == 0]
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
         node = heapq.heappop(ready)
         order.append(node)
-        for child in children[node]:
+        for child in dag._child_map[node]:
             indegree[child] -= 1
             if indegree[child] == 0:
                 heapq.heappush(ready, child)
-    if len(order) < len(nodes):
-        raise CycleError(_find_cycle({n for n in nodes if indegree[n] > 0}, edges))
-    return order
+    if len(order) < len(indegree):
+        raise CycleError(_find_cycle(dag, {n for n, d in indegree.items() if d > 0}))
+    return tuple(order)
 
 
-def _find_cycle(remaining: set[str], edges: frozenset[tuple[str, str]]) -> list[str]:
+def _find_cycle(dag: CausalDag, remaining: set[str]) -> list[str]:
     # Every node left after Kahn's algorithm has a parent among the leftovers,
-    # so walking parent links must revisit a node.
-    parent = {}
-    for tail, head in sorted(edges):
-        if tail in remaining and head in remaining:
-            parent.setdefault(head, tail)
+    # so walking parent links (the smallest such parent) must revisit a node.
     node = min(remaining)
     seen: list[str] = []
     while node not in seen:
         seen.append(node)
-        node = parent[node]
+        node = next(p for p in dag._parent_map[node] if p in remaining)
     cycle = seen[seen.index(node):]
     return list(reversed(cycle))
 
@@ -122,6 +114,8 @@ class CausalDag:
     latent: frozenset[str] = frozenset()
     treatment: str | None = None
     outcome: str | None = None
+    # Parents-before-children order, kept from the acyclicity check.
+    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
@@ -141,7 +135,7 @@ class CausalDag:
         for role in (self.treatment, self.outcome):
             if role is not None and role not in self.nodes:
                 raise DagError(f"role refers to undeclared node {role!r}")
-        _kahn(self.nodes, self.edges)  # acyclicity; raises CycleError
+        object.__setattr__(self, "_order", _kahn(self))  # raises CycleError
 
     @classmethod
     def from_edges(
@@ -178,10 +172,6 @@ class CausalDag:
     def children(self, node: str) -> tuple[str, ...]:
         self.require(node)
         return self._child_map[node]
-
-    @property
-    def observed(self) -> frozenset[str]:
-        return self.nodes - self.latent
 
     def require(self, node: str) -> None:
         if node not in self.nodes:
@@ -292,7 +282,7 @@ def serialize_dag(dag: CausalDag) -> str:
 
 def topological_order(dag: CausalDag) -> list[str]:
     """Parents-before-children order, ties broken by node name."""
-    return _kahn(dag.nodes, dag.edges)
+    return list(dag._order)
 
 
 def _reachable(start: str, step: Mapping[str, tuple[str, ...]]) -> set[str]:

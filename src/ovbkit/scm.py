@@ -45,8 +45,6 @@ __all__ = [
     "team_effort_template",
 ]
 
-SeedLike = Union[int, np.random.SeedSequence]
-
 _MAX_DRAW_ATTEMPTS = 4  # one draw plus up to three redraws per repetition
 # A sweep block holds as many repetitions as fit in this many values per node
 # (at least one), which bounds a block's memory at any n.  The block size
@@ -98,11 +96,14 @@ class ScmSpec:
 
     dag: CausalDag
     mechanisms: Mapping[str, Mechanism]
-    order: tuple[str, ...]
+
+    @property
+    def order(self) -> tuple[str, ...]:
+        return tuple(topological_order(self.dag))
 
 
 def build_scm(dag: CausalDag, mechanisms: Mapping[str, Mechanism]) -> ScmSpec:
-    """Validate mechanisms against the DAG and fix the sampling order."""
+    """Validate mechanisms against the DAG."""
     mechanisms = dict(mechanisms)
     missing = dag.nodes - set(mechanisms)
     if missing:
@@ -126,17 +127,11 @@ def build_scm(dag: CausalDag, mechanisms: Mapping[str, Mechanism]) -> ScmSpec:
                 raise ScmError(
                     f"unbound parameter {weight!r} on edge {parent} -> {node}"
                 )
-    return ScmSpec(dag, mechanisms, tuple(topological_order(dag)))
+    return ScmSpec(dag, mechanisms)
 
 
-def _rng_from(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        sequence = seed
-    else:
-        if seed < 0:
-            raise ScmError("seed must be a non-negative integer")
-        sequence = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(sequence))
+def _rng_from(entropy: int | tuple[int, ...]) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def _sample_columns(
@@ -156,7 +151,7 @@ def _sample_columns(
     return columns
 
 
-def sample(spec: ScmSpec, n: int, seed: SeedLike) -> Dataset:
+def sample(spec: ScmSpec, n: int, seed: int) -> Dataset:
     """Draw ``n`` joint samples; identical (spec, n, seed) give identical bytes.
 
     The returned dataset has one column per node, latent nodes included, in
@@ -164,6 +159,8 @@ def sample(spec: ScmSpec, n: int, seed: SeedLike) -> Dataset:
     """
     if n < 1:
         raise ScmError("sample count must be at least 1")
+    if seed < 0:
+        raise ScmError("seed must be a non-negative integer")
     columns = _sample_columns(spec, n, _rng_from(seed))
     return Dataset(spec.order, np.column_stack([columns[c] for c in spec.order]))
 
@@ -325,6 +322,8 @@ class SweepConfig:
             raise ScmError(f"latent node(s) cannot be regression predictors: {sorted(bad)}")
         if self.outcome in self.predictors or not self.predictors:
             raise ScmError("predictors must be nonempty and exclude the outcome")
+        if len(set(self.predictors)) < len(self.predictors):
+            raise ScmError("duplicate predictor names")
 
     @property
     def grid_names(self) -> tuple[str, ...]:
@@ -412,8 +411,9 @@ def _cell_estimates(
     for start in range(0, repetitions, block):
         pending = np.arange(start, min(start + block, repetitions))
         for attempt in range(_MAX_DRAW_ATTEMPTS):
-            seed = np.random.SeedSequence((*entropy, start, attempt))
-            coef, solved = _draw_estimates(spec, (pending.size, n), outcome, predictors, seed)
+            coef, solved = _draw_estimates(
+                spec, (pending.size, n), outcome, predictors, (*entropy, start, attempt)
+            )
             estimates[pending[solved]] = coef[solved]
             done[pending[solved]] = True
             pending = pending[~solved]
@@ -427,7 +427,7 @@ def _draw_estimates(
     shape: tuple[int, int],
     outcome: str,
     predictors: tuple[str, ...],
-    seed: np.random.SeedSequence,
+    entropy: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``shape = (r, n)``: r repetitions of n samples, then regress each.
 
@@ -437,7 +437,7 @@ def _draw_estimates(
     The draws are freed on return, before the caller makes the next one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = _sample_columns(spec, shape, _rng_from(seed))
+        columns = _sample_columns(spec, shape, _rng_from(entropy))
     design = np.empty((shape[0], len(predictors) + 1, shape[1]))
     design[:, 0] = 1.0
     for i, name in enumerate(predictors, start=1):

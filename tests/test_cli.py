@@ -282,7 +282,17 @@ class TestEvalue:
          "--outcome, --treatment and --covariates require --fit"),
         (["--estimate", "1", "--sigma", "1", "--se", "0.1", "--delta-range", "0.5:1:0.5"],
          "--se conflicts with --delta-range: a curve holds point E-values only"),
-    ], ids=["fit-columns-without-fit", "covariates-without-fit", "se-with-curve"])
+        # The delta flags are checked before --fit is read.
+        (["--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t"],
+         "pass exactly one of --delta or --delta-range"),
+        (["--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t",
+          "--delta", "1", "--delta-range", "0.1:1:0.1"],
+         "pass exactly one of --delta or --delta-range"),
+        (["--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t",
+          "--delta-range", "0:1:0.1"],
+         "--delta-range needs 0 < LOW and HIGH <= 1"),
+    ], ids=["fit-columns-without-fit", "covariates-without-fit", "se-with-curve",
+            "fit-without-delta", "fit-with-both-deltas", "fit-with-bad-delta-range"])
     def test_ignored_flags_are_refused(self, capsys, argv, message):
         code, out, err = run(capsys, "evalue", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -436,6 +446,18 @@ class TestSimulate:
         payload = json.loads(out)["cells"]
         assert len(payload) == cells
         assert all(cell["mean"] is None for cell in payload)
+
+    def test_duplicate_predictors_are_refused(self, capsys, tmp_path):
+        # Minimum-norm n = 3 cells would split T's coefficient between its
+        # two copies, and every n = 50 repetition would be rank deficient.
+        edits = {"predictors": "predictors = T, B, T", "grid.t_e": "grid.t_e = 0.3",
+                 "grid.z_e": "grid.z_e = 0.1", "grid.z_t": "grid.z_t = 0.1",
+                 "n": "n = 3, 50", "repetitions": "repetitions = 20"}
+        lines = fixture_path("table5.conf").read_text().splitlines()
+        config = tmp_path / "duplicate.conf"
+        config.write_text("\n".join(edits.get(line.split(" =")[0], line) for line in lines))
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out, err) == (1, "", "error: duplicate predictor names\n")
 
     def test_config_error(self, capsys, tmp_path):
         config = tmp_path / "broken.conf"

@@ -18,6 +18,7 @@ from ovbkit.dag import (
     topological_order,
 )
 from ovbkit.fixtures import fixture_text
+from ovbkit.scm import confounded_scm
 
 from _oracles import d_separated_oracle, random_dag
 
@@ -66,6 +67,12 @@ class TestParsing:
         with pytest.raises(CycleError) as err:
             parse_dag("A -> B\nB -> A")
         assert set(err.value.cycle) == {"A", "B"}
+        # Of the leftover nodes, the walk starts at the smallest (B) and
+        # follows each node's smallest leftover parent.
+        edges = "X -> A\nA -> B\nB -> C\nC -> A\nC -> D\nD -> E\nE -> D"
+        with pytest.raises(CycleError) as err:
+            parse_dag(edges)
+        assert str(err.value) == "cycle detected: B -> C -> A -> B"
 
     def test_comments_and_blank_lines(self):
         dag = parse_dag("# header\n\nX -> Y  # trailing\nlatent Z\nZ -> Y\n")
@@ -138,6 +145,15 @@ class TestStructure:
             assert position[early] < position["S"] and position[early] < position["T"]
         assert order[-1] == "E"
         assert topological_order(fig3) == order  # repeated calls identical
+
+    def test_topological_order_is_a_fresh_list(self):
+        spec = confounded_scm()
+        order = topological_order(spec.dag)
+        order.reverse()
+        order.append("W")
+        assert topological_order(spec.dag) == ["Z", "X", "Y"]
+        assert spec.order == ("Z", "X", "Y")
+        assert "_order" not in repr(spec.dag)
 
     def test_ancestors_and_descendants(self, fig3):
         assert descendants(fig3, "T") == {"E"}

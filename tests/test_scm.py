@@ -171,6 +171,7 @@ class TestConfigParsing:
             ("predictors = T, B, K, O, S", "predictors = T, Z"),  # latent predictor
             ("repetitions = 40", "repetitions = 0"),
             ("grid.z_t = 0.1", "param.z_t = 0.1\ngrid.z_t = 0.1"),  # both
+            ("predictors = T, B, K, O, S", "predictors = T, B, T"),  # duplicate
         ],
     )
     def test_invalid_configs(self, mutation):
