@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,18 +50,6 @@ _WORKFLOW = (
     "(3) compute adjustment sets, (4) ballpark the effect estimates, "
     "(5) tipping-point/E-value sensitivity checks, (6) simulation sweep."
 )
-
-_EXPLAIN = {
-    "adjust": "step 3: lists the covariate sets that block all backdoor paths.",
-    "augment": "step 3: stress-tests the adjustment sets against a hypothetical "
-               "confounder on each edge.",
-    "fit": "step 4: ballpark effect estimates from a regression fit.",
-    "smd": "step 4: ballpark confounder-treatment association as a scaled-mean difference.",
-    "tip": "step 5: how strong a confounder would have to be to flip the measured effect.",
-    "evalue": "step 5: minimum confounder association (risk-ratio scale) that could "
-              "explain the effect away.",
-    "simulate": "step 6: Monte Carlo sweep of estimate bias under hypothetical confounding.",
-}
 
 # The most deltas --delta-range accepts: each costs time and memory, and a
 # tiny STEP could otherwise ask for billions.
@@ -95,10 +83,10 @@ class RunManifest:
     command: str
     inputs: dict[str, str] = field(default_factory=dict)
     seed: int | None = None
-
-    def __post_init__(self):
-        self.version = __version__
-        self.timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    version: str = __version__
+    timestamp: str = field(
+        default_factory=lambda: datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    )
 
     def add_input(self, path: str | Path) -> bytes:
         """Read ``path`` (``-`` for stdin) once and record the sha256 of its bytes."""
@@ -107,13 +95,7 @@ class RunManifest:
         return data
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
     def print_stderr(self) -> None:
         print(f"# run command={self.command} version={self.version} "
@@ -144,8 +126,7 @@ def _load_dag(args, manifest: RunManifest):
     return CausalQuery(dag, treatment, outcome)
 
 
-def cmd_adjust(args) -> int:
-    manifest = RunManifest("adjust")
+def cmd_adjust(args, manifest: RunManifest) -> int:
     query = _load_dag(args, manifest)
     with_latents = minimal_adjustment_sets(query)
     observed = [s for s in with_latents if not s & query.dag.latent]
@@ -166,8 +147,7 @@ def cmd_adjust(args) -> int:
     return 0 if observed else 2
 
 
-def cmd_augment(args) -> int:
-    manifest = RunManifest("augment")
+def cmd_augment(args, manifest: RunManifest) -> int:
     query = _load_dag(args, manifest)
     report = edge_confounder_report(query)
     text = (
@@ -178,9 +158,7 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def cmd_tip(args) -> int:
-    manifest = RunManifest("tip")
-
+def cmd_tip(args, manifest: RunManifest) -> int:
     def need(flag_value, flag, absent=()):
         if flag_value is None:
             raise UsageError(f"--solve {args.solve} requires --{flag}")
@@ -252,11 +230,10 @@ def _evenly_spaced(low: float, high: float, count: int) -> list[float]:
     return [i * step + low for i in range(count)] + [high]
 
 
-def cmd_evalue(args) -> int:
+def cmd_evalue(args, manifest: RunManifest) -> int:
     if (args.delta is None) == (args.delta_range is None):
         raise UsageError("pass exactly one of --delta or --delta-range")
     deltas = None if args.delta_range is None else _parse_delta_range(args.delta_range)
-    manifest = RunManifest("evalue")
     label = "estimate"
     if args.fit is not None:
         if args.estimate is not None or args.sigma is not None or args.se is not None:
@@ -307,28 +284,28 @@ def cmd_evalue(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, manifest: RunManifest) -> int:
     if args.output is not None and args.json:
         raise UsageError("--json conflicts with --output")
-    manifest = RunManifest("simulate")
     config = parse_sweep_config(manifest.add_input(args.config).decode("utf-8-sig"))
     manifest.seed = config.seed
-    result = run_sweep(config)
-    csv_text = result.to_csv()
-    if args.output is not None:
-        out = Path(args.output)
-        out.write_text(csv_text)
-        Path(f"{out}.manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")
+    if args.output is None:
+        result = run_sweep(config)
+        _emit(result.to_json_dict(), result.to_csv(), manifest, args.json)
     else:
-        _emit(result.to_json_dict(), csv_text, manifest, args.json)
+        # Both files are opened before the sweep, so an unwritable OUT is
+        # reported at once rather than after the whole sweep has run.
+        with open(args.output, "w") as out, open(f"{args.output}.manifest.json", "w") as side:
+            result = run_sweep(config)
+            out.write(result.to_csv())
+            side.write(json.dumps(manifest.to_dict(), indent=2) + "\n")
     if all(cell.failed for cell in result.cells):
         print("error: every sweep cell failed to produce estimates", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_fit(args) -> int:
-    manifest = RunManifest("fit")
+def cmd_fit(args, manifest: RunManifest) -> int:
     data = parse_csv_bytes(manifest.add_input(args.csv_file))
     fit = ols_fit(data, args.outcome, _split(args.predictors))
     lines = [f"n = {fit.n}", f"intercept = {fit.intercept:.6g}"]
@@ -341,8 +318,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_smd(args) -> int:
-    manifest = RunManifest("smd")
+def cmd_smd(args, manifest: RunManifest) -> int:
     data = manifest.add_input(args.csv_file)
     values, labels = parse_value_groups(data, args.value, args.group)
     diff = scaled_mean_diff(values, labels, args.treat, args.ref)
@@ -363,77 +339,72 @@ def _split(raw: str | None) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+def _arg(*flags, **options):
+    """One argument of a subcommand, as ``add_argument`` takes it."""
+    return flags, options
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ovbkit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ovbkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help, step, *arguments):
+        """Declare subcommand ``name``: its own arguments, then the shared flags.
+        ``step`` is the workflow step that ``--explain`` prints."""
+        p = sub.add_parser(name, help=help)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--explain", action="store_true",
                        help="note which workflow step this command serves")
+        p.set_defaults(run=run, step=step)
 
-    p = sub.add_parser("adjust", help="minimal backdoor adjustment sets")
-    p.add_argument("dag_file")
-    p.add_argument("--treatment")
-    p.add_argument("--outcome")
-    p.add_argument("--with-latents", action="store_true",
-                   help="allow latent nodes in the displayed sets")
-    common(p)
-    p.set_defaults(run=cmd_adjust)
-
-    p = sub.add_parser("augment", help="per-edge hypothetical-confounder analysis")
-    p.add_argument("dag_file")
-    p.add_argument("--treatment")
-    p.add_argument("--outcome")
-    common(p)
-    p.set_defaults(run=cmd_augment)
-
-    p = sub.add_parser("fit", help="ordinary least squares on a CSV")
-    p.add_argument("csv_file")
-    p.add_argument("--outcome", required=True)
-    p.add_argument("--predictors", required=True, help="comma-separated column names")
-    common(p)
-    p.set_defaults(run=cmd_fit)
-
-    p = sub.add_parser("smd", help="scaled-mean difference between two groups")
-    p.add_argument("csv_file")
-    p.add_argument("--value", required=True, help="numeric column")
-    p.add_argument("--group", required=True, help="group-tag column")
-    p.add_argument("--treat", required=True)
-    p.add_argument("--ref", required=True)
-    common(p)
-    p.set_defaults(run=cmd_smd)
-
-    p = sub.add_parser("tip", help="tipping-point analysis of a measured effect")
-    p.add_argument("--observed", type=_finite_float, required=True,
-                   help="measured treatment-outcome effect")
-    p.add_argument("--solve", choices=("smd", "effect", "n"), required=True)
-    p.add_argument("--smd", type=_finite_float, help="confounder-treatment SMD")
-    p.add_argument("--effect", type=_finite_float, help="confounder-outcome effect")
-    common(p)
-    p.set_defaults(run=cmd_tip)
-
-    p = sub.add_parser("evalue", help="E-value of a fitted effect")
-    p.add_argument("--estimate", type=_finite_float)
-    p.add_argument("--sigma", type=_finite_float, help="residual standard deviation")
-    p.add_argument("--se", type=_finite_float, help="standard error (adds a CI E-value)")
-    p.add_argument("--fit", metavar="CSV", help="derive estimate/se/sigma from a fit")
-    p.add_argument("--outcome", help="outcome column for --fit")
-    p.add_argument("--treatment", help="treatment column for --fit")
-    p.add_argument("--covariates", help="comma-separated extra predictors for --fit")
-    p.add_argument("--delta", type=_finite_float, help="treatment change of interest")
-    p.add_argument("--delta-range", metavar="LOW:HIGH:STEP",
-                   help="sweep delta and emit a CSV curve")
-    common(p)
-    p.set_defaults(run=cmd_evalue)
-
-    p = sub.add_parser("simulate", help="run a simulation sweep from a config file")
-    p.add_argument("config")
-    p.add_argument("-o", "--output", help="write CSV here (plus <output>.manifest.json)")
-    common(p)
-    p.set_defaults(run=cmd_simulate)
-
+    dag = (_arg("dag_file"), _arg("--treatment"), _arg("--outcome"))
+    command("adjust", cmd_adjust, "minimal backdoor adjustment sets",
+            "step 3: lists the covariate sets that block all backdoor paths.",
+            *dag, _arg("--with-latents", action="store_true",
+                       help="allow latent nodes in the displayed sets"))
+    command("augment", cmd_augment, "per-edge hypothetical-confounder analysis",
+            "step 3: stress-tests the adjustment sets against a hypothetical "
+            "confounder on each edge.",
+            *dag)
+    command("fit", cmd_fit, "ordinary least squares on a CSV",
+            "step 4: ballpark effect estimates from a regression fit.",
+            _arg("csv_file"),
+            _arg("--outcome", required=True),
+            _arg("--predictors", required=True, help="comma-separated column names"))
+    command("smd", cmd_smd, "scaled-mean difference between two groups",
+            "step 4: ballpark confounder-treatment association as a scaled-mean difference.",
+            _arg("csv_file"),
+            _arg("--value", required=True, help="numeric column"),
+            _arg("--group", required=True, help="group-tag column"),
+            _arg("--treat", required=True),
+            _arg("--ref", required=True))
+    command("tip", cmd_tip, "tipping-point analysis of a measured effect",
+            "step 5: how strong a confounder would have to be to flip the measured effect.",
+            _arg("--observed", type=_finite_float, required=True,
+                 help="measured treatment-outcome effect"),
+            _arg("--solve", choices=("smd", "effect", "n"), required=True),
+            _arg("--smd", type=_finite_float, help="confounder-treatment SMD"),
+            _arg("--effect", type=_finite_float, help="confounder-outcome effect"))
+    command("evalue", cmd_evalue, "E-value of a fitted effect",
+            "step 5: minimum confounder association (risk-ratio scale) that could "
+            "explain the effect away.",
+            _arg("--estimate", type=_finite_float),
+            _arg("--sigma", type=_finite_float, help="residual standard deviation"),
+            _arg("--se", type=_finite_float, help="standard error (adds a CI E-value)"),
+            _arg("--fit", metavar="CSV", help="derive estimate/se/sigma from a fit"),
+            _arg("--outcome", help="outcome column for --fit"),
+            _arg("--treatment", help="treatment column for --fit"),
+            _arg("--covariates", help="comma-separated extra predictors for --fit"),
+            _arg("--delta", type=_finite_float, help="treatment change of interest"),
+            _arg("--delta-range", metavar="LOW:HIGH:STEP",
+                 help="sweep delta and emit a CSV curve"))
+    command("simulate", cmd_simulate, "run a simulation sweep from a config file",
+            "step 6: Monte Carlo sweep of estimate bias under hypothetical confounding.",
+            _arg("config"),
+            _arg("-o", "--output", help="write CSV here (plus <output>.manifest.json)"))
     return parser
 
 
@@ -441,10 +412,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "explain", False):
-            print(f"{_WORKFLOW}\n`{args.command}` serves {_EXPLAIN[args.command]}",
-                  file=sys.stderr)
-        return args.run(args)
+        if args.explain:
+            print(f"{_WORKFLOW}\n`{args.command}` serves {args.step}", file=sys.stderr)
+        return args.run(args, RunManifest(args.command))
     except BrokenPipeError:
         # The reader of stdout left early (``| head``); that is not an input
         # error.  Point stdout at devnull so the exit-time flush cannot fail.

@@ -336,7 +336,7 @@ def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult
 def hpdi(samples: Sequence[float], mass: float) -> Interval:
     """Narrowest window over the sorted samples containing ``ceil(mass * n)``
     of them; ties resolved in favor of the earliest window."""
-    arr = np.sort(np.asarray(list(samples), dtype=float))
+    arr = np.sort(np.asarray(samples, dtype=float))
     n = arr.size
     if n == 0:
         raise StatsError("hpdi requires at least one sample")
@@ -358,8 +358,11 @@ def scaled_mean_diff(
     """Difference of standardized group means, treatment minus reference.
 
     Each group's mean is scaled by its own sample standard deviation
-    (n - 1 denominator).  Groups need at least two members and nonzero spread.
+    (n - 1 denominator).  Groups need at least two members and nonzero spread,
+    and ``treat`` and ``reference`` must name different groups.
     """
+    if treat == reference:
+        raise StatsError(f"treat and reference are the same group {treat!r}")
     values = np.asarray(list(values), dtype=float)
     labels = list(labels)
     if len(labels) != values.size:

@@ -40,6 +40,28 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+COMMANDS = ("adjust", "augment", "fit", "smd", "tip", "evalue", "simulate")
+
+
+def successful_argv(name, tmp_path):
+    """Arguments of a run of subcommand ``name`` on small inputs that exits 0."""
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("y,t,g\n1,0,0\n2,1,0\n4,1,1\n3,0,1\n")
+    config = tmp_path / "sweep.conf"
+    config.write_text(SMALL_CONFIG)
+    dag = str(fixture_path("productivity.dag"))
+    return {
+        "adjust": ["adjust", dag],
+        "augment": ["augment", dag],
+        "fit": ["fit", str(csv_path), "--outcome", "y", "--predictors", "t"],
+        "smd": ["smd", str(csv_path), "--value", "y", "--group", "g", "--treat", "1",
+                "--ref", "0"],
+        "tip": ["tip", "--observed", "-0.05", "--effect", "0.8", "--solve", "smd"],
+        "evalue": ["evalue", "--estimate", "1", "--sigma", "1", "--delta", "0.5"],
+        "simulate": ["simulate", str(config)],
+    }[name]
+
+
 @pytest.fixture(scope="module")
 def productivity():
     return str(fixture_path("productivity.dag"))
@@ -375,6 +397,24 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", str(missing), "-o", str(out_csv), "--json")
         assert (code, err) == (1, "error: --json conflicts with --output\n")
 
+    @pytest.mark.parametrize("blocked", ["directory", "manifest"])
+    def test_unwritable_output_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch,
+                                                      blocked):
+        def refuse(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("ovbkit.cli.run_sweep", refuse)
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG)
+        if blocked == "directory":
+            out_csv = tmp_path / "missing" / "sweep.csv"
+        else:
+            out_csv = tmp_path / "sweep.csv"
+            (tmp_path / "sweep.csv.manifest.json").mkdir()
+        code, out, err = run(capsys, "simulate", str(config), "-o", str(out_csv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
     def test_out_of_memory_is_one_line_error(self, capsys, tmp_path, monkeypatch):
         def exhausted(config):
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
@@ -645,6 +685,14 @@ class TestFitAndSmd:
         else:
             assert out == "SMD(a - b) = 0.4725\n"
 
+    def test_smd_refuses_the_same_group_twice(self, capsys, tmp_path):
+        csv_path = tmp_path / "groups.csv"
+        csv_path.write_text("v,g\n1,a\n2,a\n3,b\n5,b\n")
+        code, out, err = run(capsys, "smd", str(csv_path), "--value", "v", "--group", "g",
+                             "--treat", "a", "--ref", "a")
+        assert (code, out) == (1, "")
+        assert err == "error: treat and reference are the same group 'a'\n"
+
     def test_smd_json(self, capsys, tmp_path):
         csv_path = tmp_path / "groups.csv"
         csv_path.write_text(
@@ -660,11 +708,26 @@ class TestHarness:
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
 
-    def test_explain_notes_the_workflow(self, capsys):
-        code, _, err = run(capsys, "tip", "--observed", "-0.05", "--effect", "0.8",
-                           "--solve", "smd", "--explain")
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_explain_notes_the_workflow(self, capsys, tmp_path, name):
+        code, _, err = run(capsys, *successful_argv(name, tmp_path), "--explain")
         assert code == 0
-        assert "workflow" in err
+        assert err.startswith("study-planning workflow: ")
+        assert f"\n`{name}` serves step " in err
+        assert f"\n# run command={name} " in err
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_manifest_names_the_command(self, capsys, tmp_path, name):
+        argv = successful_argv(name, tmp_path)
+        if name == "simulate":
+            code, _, _ = run(capsys, *argv, "-o", str(tmp_path / "sweep.csv"))
+            manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        else:
+            code, out, _ = run(capsys, *argv, "--json")
+            manifest = json.loads(out)["manifest"]
+        assert code == 0
+        assert list(manifest) == ["command", "inputs", "seed", "version", "timestamp"]
+        assert manifest["command"] == name
 
     def test_closed_stdout_is_not_an_error(self, productivity):
         # The reading end is closed before the child starts, so its first

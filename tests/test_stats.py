@@ -450,6 +450,11 @@ class TestScaledMeanDiff:
         with pytest.raises(StatsError):
             scaled_mean_diff([1.0, 2.0], ["a", "a"], "a", "zzz")
 
+    def test_same_group_twice_is_refused(self):
+        values, labels = [1.0, 2.0, 3.0, 5.0], ["a", "a", "b", "b"]
+        with pytest.raises(StatsError, match="treat and reference are the same group 'a'"):
+            scaled_mean_diff(values, labels, "a", "a")
+
 
 class TestInterval:
     def test_invariants(self):
