@@ -25,9 +25,9 @@ from .dag import (
     descendants, is_d_separated, parse_dag, serialize_dag, topological_order,
 )
 from .scm import (
-    BernoulliExogenous, LinearGaussian, ScmSpec, ScmTemplate, SweepConfig,
-    SweepResult, build_scm, expected_treatment_estimate, load_sweep_config,
-    run_sweep, sample, team_effort_template,
+    BernoulliExogenous, LinearGaussian, ScmSpec, SweepConfig, SweepResult,
+    expected_treatment_estimate, load_sweep_config, run_sweep, sample,
+    team_effort_template,
 )
 from .sensitivity import (
     EValueInput, EValueResult, TipInput, TipResult, adjusted_effect, evalue_curve,
@@ -43,9 +43,9 @@ __all__ = [
     "CausalDag", "CycleError", "DagError", "DagSyntaxError", "SeparationQuery",
     "ancestors", "descendants", "is_d_separated", "parse_dag", "serialize_dag",
     "topological_order",
-    "BernoulliExogenous", "LinearGaussian", "ScmSpec", "ScmTemplate", "SweepConfig",
-    "SweepResult", "build_scm", "expected_treatment_estimate", "load_sweep_config",
-    "run_sweep", "sample", "team_effort_template",
+    "BernoulliExogenous", "LinearGaussian", "ScmSpec", "SweepConfig", "SweepResult",
+    "expected_treatment_estimate", "load_sweep_config", "run_sweep", "sample",
+    "team_effort_template",
     "EValueInput", "EValueResult", "TipInput", "TipResult", "adjusted_effect",
     "evalue_curve", "evalue_ols", "tip_n_confounders", "tip_outcome_effect", "tip_smd",
     "tipping_grid",

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -294,11 +295,16 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
         _emit(result.to_json_dict(), result.to_csv(), manifest, args.json)
     else:
         # Both files are opened before the sweep, so an unwritable OUT is
-        # reported at once rather than after the whole sweep has run.
-        with open(args.output, "w") as out, open(f"{args.output}.manifest.json", "w") as side:
+        # reported at once rather than after the whole sweep has run.  They
+        # are opened to append and emptied only when written, so a failure
+        # leaves an existing OUT as it was.
+        with open(args.output, "a") as out, open(f"{args.output}.manifest.json", "a") as side:
             result = run_sweep(config)
-            out.write(result.to_csv())
-            side.write(json.dumps(manifest.to_dict(), indent=2) + "\n")
+            for file, text in ((out, result.to_csv()),
+                               (side, json.dumps(manifest.to_dict(), indent=2) + "\n")):
+                if stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # not a pipe or device
+                    file.truncate(0)
+                file.write(text)
     if all(cell.failed for cell in result.cells):
         print("error: every sweep cell failed to produce estimates", file=sys.stderr)
         return 1

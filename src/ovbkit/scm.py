@@ -20,7 +20,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .dag import CausalDag, topological_order
+from .dag import CausalDag
 from .stats import Dataset, Interval, _stacked_least_squares, hpdi
 
 __all__ = [
@@ -29,12 +29,10 @@ __all__ = [
     "Mechanism",
     "ScmError",
     "ScmSpec",
-    "ScmTemplate",
     "SweepCell",
     "SweepConfig",
     "SweepResult",
     "added_cause_scm",
-    "build_scm",
     "confounded_scm",
     "direct_effect_scm",
     "expected_treatment_estimate",
@@ -73,8 +71,9 @@ class BernoulliExogenous:
 class LinearGaussian:
     """A Gaussian node whose mean is linear in its parents.
 
-    ``weights`` maps each parent to its edge coefficient.  Inside templates a
-    weight may instead be a string naming a free parameter.
+    ``weights`` maps each parent to its edge coefficient, kept sorted by
+    parent, the order in which sampling sums them.  A weight may instead be a
+    string naming a free parameter of the model.
     """
 
     intercept: float
@@ -82,7 +81,7 @@ class LinearGaussian:
     sd: float
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
+        object.__setattr__(self, "weights", dict(sorted(self.weights.items())))
         if not self.sd > 0:
             raise ScmError(f"standard deviation must be positive, got {self.sd}")
 
@@ -92,42 +91,69 @@ Mechanism = Union[BernoulliExogenous, LinearGaussian]
 
 @dataclass(frozen=True, eq=False)
 class ScmSpec:
-    """A DAG plus one concrete mechanism per node, sampled in ``order``."""
+    """A DAG plus one mechanism per node, sampled in ``order``.
+
+    Construction checks the mechanisms against the DAG.  Edge weights named
+    by a string are free ``parameters``: :meth:`bind` fills them in, and
+    :func:`sample` refuses a model that still has any.
+    """
 
     dag: CausalDag
     mechanisms: Mapping[str, Mechanism]
 
+    def __post_init__(self):
+        object.__setattr__(self, "mechanisms", dict(self.mechanisms))
+        missing = self.dag.nodes - set(self.mechanisms)
+        if missing:
+            raise ScmError(f"missing mechanism for node(s): {sorted(missing)}")
+        extra = set(self.mechanisms) - self.dag.nodes
+        if extra:
+            raise ScmError(f"mechanism for undeclared node(s): {sorted(extra)}")
+        for node, mech in self.mechanisms.items():
+            parents = set(self.dag.parents(node))
+            if isinstance(mech, BernoulliExogenous):
+                if parents:
+                    raise ScmError(f"Bernoulli node {node!r} cannot have parents")
+            elif set(mech.weights) != parents:
+                raise ScmError(
+                    f"weights for {node!r} must cover exactly its parents "
+                    f"{sorted(parents)}, got {sorted(mech.weights)}"
+                )
+
     @property
     def order(self) -> tuple[str, ...]:
-        return tuple(topological_order(self.dag))
+        return self.dag._order
 
+    @property
+    def parameters(self) -> tuple[str, ...]:
+        names = {
+            w
+            for mech in self.mechanisms.values()
+            if isinstance(mech, LinearGaussian)
+            for w in mech.weights.values()
+            if isinstance(w, str)
+        }
+        return tuple(sorted(names))
 
-def build_scm(dag: CausalDag, mechanisms: Mapping[str, Mechanism]) -> ScmSpec:
-    """Validate mechanisms against the DAG."""
-    mechanisms = dict(mechanisms)
-    missing = dag.nodes - set(mechanisms)
-    if missing:
-        raise ScmError(f"missing mechanism for node(s): {sorted(missing)}")
-    extra = set(mechanisms) - dag.nodes
-    if extra:
-        raise ScmError(f"mechanism for undeclared node(s): {sorted(extra)}")
-    for node, mech in mechanisms.items():
-        parents = set(dag.parents(node))
-        if isinstance(mech, BernoulliExogenous):
-            if parents:
-                raise ScmError(f"Bernoulli node {node!r} cannot have parents")
-            continue
-        if set(mech.weights) != parents:
-            raise ScmError(
-                f"weights for {node!r} must cover exactly its parents "
-                f"{sorted(parents)}, got {sorted(mech.weights)}"
-            )
-        for parent, weight in mech.weights.items():
-            if isinstance(weight, str):
-                raise ScmError(
-                    f"unbound parameter {weight!r} on edge {parent} -> {node}"
-                )
-    return ScmSpec(dag, mechanisms)
+    def bind(self, values: Mapping[str, float]) -> ScmSpec:
+        """The same model with each free parameter set to its value."""
+        free = set(self.parameters)
+        unknown = set(values) - free
+        if unknown:
+            raise ScmError(f"unknown parameter(s): {sorted(unknown)}")
+        missing = free - set(values)
+        if missing:
+            raise ScmError(f"unbound parameter(s): {sorted(missing)}")
+        concrete: dict[str, Mechanism] = {}
+        for node, mech in self.mechanisms.items():
+            if isinstance(mech, LinearGaussian):
+                weights = {
+                    parent: float(values[w]) if isinstance(w, str) else w
+                    for parent, w in mech.weights.items()
+                }
+                mech = LinearGaussian(mech.intercept, weights, mech.sd)
+            concrete[node] = mech
+        return ScmSpec(self.dag, concrete)
 
 
 def _rng_from(entropy: int | tuple[int, ...]) -> np.random.Generator:
@@ -145,8 +171,8 @@ def _sample_columns(
             columns[node] = (rng.random(shape) < mech.p).astype(float)
         else:
             mean = np.full(shape, float(mech.intercept))
-            for parent in sorted(mech.weights):
-                mean += mech.weights[parent] * columns[parent]
+            for parent, weight in mech.weights.items():
+                mean += weight * columns[parent]
             columns[node] = mean + mech.sd * rng.standard_normal(shape)
     return columns
 
@@ -161,56 +187,19 @@ def sample(spec: ScmSpec, n: int, seed: int) -> Dataset:
         raise ScmError("sample count must be at least 1")
     if seed < 0:
         raise ScmError("seed must be a non-negative integer")
+    if spec.parameters:
+        raise ScmError(f"unbound parameter(s): {list(spec.parameters)}")
     columns = _sample_columns(spec, n, _rng_from(seed))
     return Dataset(spec.order, np.column_stack([columns[c] for c in spec.order]))
 
 
-# --- templates ---------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ScmTemplate:
-    """An SCM whose edge weights may be left as named free parameters."""
-
-    dag: CausalDag
-    mechanisms: Mapping[str, Mechanism]
-
-    @property
-    def parameters(self) -> tuple[str, ...]:
-        names = {
-            w
-            for mech in self.mechanisms.values()
-            if isinstance(mech, LinearGaussian)
-            for w in mech.weights.values()
-            if isinstance(w, str)
-        }
-        return tuple(sorted(names))
-
-    def bind(self, values: Mapping[str, float]) -> ScmSpec:
-        """Substitute parameter values and validate the concrete model."""
-        free = set(self.parameters)
-        unknown = set(values) - free
-        if unknown:
-            raise ScmError(f"unknown parameter(s): {sorted(unknown)}")
-        missing = free - set(values)
-        if missing:
-            raise ScmError(f"unbound parameter(s): {sorted(missing)}")
-        concrete: dict[str, Mechanism] = {}
-        for node, mech in self.mechanisms.items():
-            if isinstance(mech, LinearGaussian):
-                weights = {
-                    parent: float(values[w]) if isinstance(w, str) else w
-                    for parent, w in mech.weights.items()
-                }
-                mech = LinearGaussian(mech.intercept, weights, mech.sd)
-            concrete[node] = mech
-        return build_scm(self.dag, concrete)
+# --- bundled models ----------------------------------------------------------
 
 
 def direct_effect_scm(x_y: float = 0.4) -> ScmSpec:
     """X -> Y with standard-normal X and unit measurement noise on Y."""
     dag = CausalDag.from_edges([("X", "Y")])
-    return build_scm(dag, {
+    return ScmSpec(dag, {
         "X": LinearGaussian(0.0, {}, 1.0),
         "Y": LinearGaussian(0.0, {"X": x_y}, 1.0),
     })
@@ -219,7 +208,7 @@ def direct_effect_scm(x_y: float = 0.4) -> ScmSpec:
 def added_cause_scm(x_y: float = 0.4, z_y: float = 0.7) -> ScmSpec:
     """X -> Y <- Z with independent standard-normal causes."""
     dag = CausalDag.from_edges([("X", "Y"), ("Z", "Y")])
-    return build_scm(dag, {
+    return ScmSpec(dag, {
         "X": LinearGaussian(0.0, {}, 1.0),
         "Z": LinearGaussian(0.0, {}, 1.0),
         "Y": LinearGaussian(0.0, {"X": x_y, "Z": z_y}, 1.0),
@@ -229,14 +218,14 @@ def added_cause_scm(x_y: float = 0.4, z_y: float = 0.7) -> ScmSpec:
 def confounded_scm(x_y: float = 0.4, z_y: float = 0.7, z_x: float = 0.2) -> ScmSpec:
     """X -> Y with Z a common cause of both (the confounding triangle)."""
     dag = CausalDag.from_edges([("X", "Y"), ("Z", "X"), ("Z", "Y")])
-    return build_scm(dag, {
+    return ScmSpec(dag, {
         "Z": LinearGaussian(0.0, {}, 1.0),
         "X": LinearGaussian(0.0, {"Z": z_x}, 1.0),
         "Y": LinearGaussian(0.0, {"X": x_y, "Z": z_y}, 1.0),
     })
 
 
-def team_effort_template() -> ScmTemplate:
+def team_effort_template() -> ScmSpec:
     """The bundled project-effort model: effort E driven by team size T,
     context variables B, K, O, S, and an unmeasured confounder Z of T and E.
 
@@ -268,7 +257,7 @@ def team_effort_template() -> ScmTemplate:
             1.0,
         ),
     }
-    return ScmTemplate(dag, mechanisms)
+    return ScmSpec(dag, mechanisms)
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -282,7 +271,7 @@ class SweepConfig:
     tracked.  Grid order matters: sweep seeds are derived from the
     positional indices of grid point and sample size."""
 
-    template: ScmTemplate
+    template: ScmSpec
     grid: Mapping[str, tuple[float, ...]]
     fixed: Mapping[str, float]
     sample_sizes: tuple[int, ...]
@@ -298,10 +287,15 @@ class SweepConfig:
         object.__setattr__(self, "predictors", tuple(self.predictors))
         if not self.grid or any(not vals for vals in self.grid.values()):
             raise ScmError("grid must name at least one parameter with values")
+        for name, values in self.grid.items():
+            if len(set(values)) < len(values):
+                raise ScmError(f"duplicate values for grid parameter {name!r}")
         if self.repetitions < 1:
             raise ScmError("repetitions must be at least 1")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise ScmError("sample sizes must be positive")
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise ScmError("duplicate sample sizes in n")
         if self.seed < 0:
             raise ScmError("seed must be a non-negative integer")
         declared = set(self.grid) | set(self.fixed)

@@ -14,7 +14,7 @@ from ovbkit.adjustment import (
 )
 from ovbkit.dag import CausalDag, DagError, parse_dag
 from ovbkit.fixtures import fixture_text
-from ovbkit.scm import LinearGaussian, build_scm, sample
+from ovbkit.scm import LinearGaussian, ScmSpec, sample
 from ovbkit.stats import ols_fit
 
 from _oracles import (
@@ -158,7 +158,7 @@ class TestMinimalSets:
                 node: {p: rng.uniform(-1.0, 1.0) for p in dag.parents(node)}
                 for node in dag.nodes
             }
-            spec = build_scm(
+            spec = ScmSpec(
                 dag,
                 {n: LinearGaussian(0.0, w, 1.0) for n, w in weights.items()},
             )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -414,6 +415,71 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", str(config), "-o", str(out_csv))
         assert (code, out) == (1, "")
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("failure", ["manifest-is-a-directory", "sweep-raises"])
+    def test_failed_run_keeps_the_existing_output(self, capsys, tmp_path, monkeypatch,
+                                                  failure):
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG)
+        out_csv = tmp_path / "out.csv"
+        out_csv.write_bytes(b"a,b\n1,2\n")
+        side = tmp_path / "out.csv.manifest.json"
+        if failure == "manifest-is-a-directory":
+            side.mkdir()
+        else:
+            side.write_bytes(b"{}\n")
+
+            def exhausted(config):
+                raise MemoryError()
+
+            monkeypatch.setattr("ovbkit.cli.run_sweep", exhausted)
+        code, out, err = run(capsys, "simulate", str(config), "-o", str(out_csv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out_csv.read_bytes() == b"a,b\n1,2\n"
+        if side.is_file():
+            assert side.read_bytes() == b"{}\n"
+
+    def test_rerun_replaces_a_longer_output(self, capsys, tmp_path):
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG)
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        reused.write_text("x\n" * 10_000)
+        (tmp_path / "reused.csv.manifest.json").write_text("x\n" * 10_000)
+        assert run(capsys, "simulate", str(config), "-o", str(fresh))[0] == 0
+        assert run(capsys, "simulate", str(config), "-o", str(reused))[0] == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        manifest = json.loads((tmp_path / "reused.csv.manifest.json").read_text())
+        assert manifest["seed"] == 424242
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_to_a_named_pipe(self, capsys, tmp_path):
+        config = tmp_path / "sweep.conf"
+        config.write_text(SMALL_CONFIG)
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        code, _, err = run(capsys, "simulate", str(config), "-o", str(fifo))
+        reader.join(timeout=60)
+        assert code == 0, err
+        assert received and received[0].startswith("t_e,z_e,z_t,n,")
+
+    def test_repeated_grid_values_and_sample_sizes_are_refused(self, capsys, tmp_path):
+        # Each copy would take its own seed index: rows with the same key
+        # and different estimates.
+        edits = {"grid.t_e": "grid.t_e = 0.3, 0.3", "grid.z_e": "param.z_e = 0.1",
+                 "grid.z_t": "param.z_t = 0.1", "n": "n = 10, 10"}
+        lines = fixture_path("table5.conf").read_text().splitlines()
+        config = tmp_path / "repeated.conf"
+        config.write_text("\n".join(edits.get(line.split(" =")[0], line) for line in lines))
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out, err) == (1, "", "error: duplicate values for grid parameter 't_e'\n")
+        config.write_text(config.read_text().replace("0.3, 0.3", "0.3"))
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out, err) == (1, "", "error: duplicate sample sizes in n\n")
 
     def test_out_of_memory_is_one_line_error(self, capsys, tmp_path, monkeypatch):
         def exhausted(config):

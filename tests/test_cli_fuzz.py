@@ -4,16 +4,15 @@ Every generated command must end in exit code 0, 1 or 2; an exception that
 escapes ``main`` would reach the user as a traceback.  The generators mix
 well-formed inputs, so that the analyses themselves run, with malformed
 ones.  Sizes are kept small on purpose: at most seven DAG nodes, twelve CSV
-rows, and ``--delta-range`` ends and steps that give at most a few dozen
-deltas, so that no example allocates more than a few MB.
-
-``simulate`` is left out: a well-formed config may legitimately ask for
-hours of work, since its sample sizes and repetitions are the user's to
-choose.  Its malformed configs are covered by the config-parsing tests.
+rows, ``--delta-range`` ends and steps that give at most a few dozen
+deltas, and sweep configs of at most 10⁴ sampled rows (grid points × the sum
+of the sample sizes × repetitions), so that no example allocates more than a
+few MB.
 """
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovbkit.cli import main
+from ovbkit.scm import team_effort_template
 
 NAMES = ["A", "B", "C", "D", "E", "F", "G"]
 ODD = st.one_of(
@@ -33,16 +33,35 @@ SIGMAS = st.one_of(st.floats(0.01, 3).map(repr), ODD)
 RANGE_ENDS = st.sampled_from(["-1", "0", "0.05", "0.1", "0.5", "1", "2", "inf", "nan", "x"])
 RANGE_STEPS = st.sampled_from(["0.05", "0.1", "0.5", "1", "0", "-0.1", "inf", "nan", "1e-320"])
 COMMON = {"--json": None, "--explain": None}
+PARAMS = team_effort_template().parameters
+WEIGHTS = st.floats(-1, 1).map(repr) | st.sampled_from(["0", "1", "-0.5"])
+# Few distinct values, spelled in more than one way, so that grid lists repeat.
+GRID_VALUES = st.sampled_from(["-0.5", "0.1", "0.3", "0.30", "0", "-0.0"]) | WEIGHTS
+# At most 3 grid parameters of at most 3 values, 2 sample sizes of at most 20
+# and 8 repetitions: 27 * 40 * 8 = 8,640 sampled rows.  A malformed edit puts
+# in one value, and every ODD value is refused or a small integer (" 2 ").
+SIZES = st.sampled_from(["1", "2", "5", "7", "20"])
+PREDICTORS = st.sampled_from(["T, B, K, O, S", "T, S", "T", " S ,T"])
+BAD_ROLES = st.sampled_from(["outcome = T", "outcome = Z", "outcome = Q", "predictors = T, Z",
+                             "predictors = T, T", "predictors = E, T", "predictors =",
+                             "predictors = Q"])
+EXTRA_LINES = st.sampled_from(["bogus = 1", "grid.q = 1", "param.q = 1", "nonsense", "= 1",
+                               "param.t_e = 0.1", "grid.z_t = 0.2", "n = 5", "seed = 1"])
 
-
-def _exit_code(argv: list[str], data: bytes = b"") -> int:
-    """Run ``main`` with ``data`` as the file named INPUT and output captured."""
+def _run(argv: list[str], data: bytes = b"") -> tuple[int, str]:
+    """Run ``main`` with ``data`` as the file named INPUT and output captured;
+    the exit code and stdout."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         path.write_bytes(data)
         argv = [arg.replace("INPUT", str(path)) for arg in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main(argv)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv), stdout.getvalue()
+
+
+def _exit_code(argv: list[str], data: bytes = b"") -> int:
+    return _run(argv, data)[0]
 
 
 @st.composite
@@ -100,6 +119,47 @@ def _csv(draw) -> tuple[bytes, list[str]]:
     rows = draw(st.lists(row, min_size=4 * (kind == "clean"), max_size=12))
     text = "\n".join(",".join(cells) for cells in [columns, *rows])
     return text.encode(), columns
+
+
+@st.composite
+def _sweep_config(draw) -> bytes:
+    """Config bytes over the team-effort keys: each parameter on the grid
+    (at most three) or fixed, then sample sizes, repetitions, seed, outcome
+    and predictors.  Half the configs then get one malformed edit: an odd
+    value, a missing line, an unknown, duplicate or malformed line, or a bad
+    outcome or predictor list.  Some files start with a BOM."""
+    on_grid = draw(st.lists(st.sampled_from(PARAMS), min_size=1, max_size=3, unique=True))
+    lines = [f"grid.{name} = {', '.join(draw(st.lists(GRID_VALUES, min_size=1, max_size=3)))}"
+             if name in on_grid else f"param.{name} = {draw(WEIGHTS)}" for name in PARAMS]
+    lines += [
+        f"n = {', '.join(draw(st.lists(SIZES, min_size=1, max_size=2)))}",
+        f"repetitions = {draw(st.integers(1, 8))}",
+        f"seed = {draw(st.integers(0, 2**32))}",
+        "outcome = E",
+        f"predictors = {draw(PREDICTORS)}",
+    ]
+    edit = draw(st.sampled_from([None] * 5 + ["odd", "drop", "extra", "roles"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if edit == "odd":
+        lines[i] = f"{lines[i].split(' =')[0]} = {draw(ODD)}"
+    elif edit == "drop":
+        del lines[i]
+    elif edit == "extra":
+        lines.append(draw(EXTRA_LINES | st.just(lines[i])))
+    elif edit == "roles":
+        lines.append(draw(BAD_ROLES))
+        lines = [line for line in lines if line.split(" =")[0] != lines[-1].split(" =")[0]] \
+            + lines[-1:]
+    text = "\n".join(draw(st.permutations(lines)))
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+
+def _row_keys(stdout: str, as_json: bool) -> list[tuple[float, ...]]:
+    """Grid values and ``n`` of every sweep cell printed."""
+    if as_json:
+        return [(*cell["params"].values(), cell["n"]) for cell in json.loads(stdout)["cells"]]
+    header, *rows = stdout.splitlines()
+    width = header.split(",").index("n") + 1
+    return [tuple(float(v) for v in row.split(",")[:width]) for row in rows]
 
 
 def _column(data: st.DataObject, columns: list[str]) -> str:
@@ -171,3 +231,12 @@ class TestCliFuzz:
                 f"--group={_column(data, columns[-1:])}", f"--treat={data.draw(tags)}",
                 f"--ref={data.draw(tags)}", *data.draw(_options(COMMON))]
         assert _exit_code(argv, text) in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=_sweep_config(), options=_options(COMMON))
+    def test_simulate(self, config, options):
+        code, stdout = _run(["simulate", "INPUT", *options], config)
+        assert code in (0, 1)
+        if code == 0:
+            keys = _row_keys(stdout, "--json" in options)
+            assert len(set(keys)) == len(keys), "two sweep cells share grid values and n"

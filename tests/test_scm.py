@@ -10,9 +10,8 @@ from ovbkit.scm import (
     BernoulliExogenous,
     LinearGaussian,
     ScmError,
-    ScmTemplate,
+    ScmSpec,
     SweepConfig,
-    build_scm,
     confounded_scm,
     direct_effect_scm,
     expected_treatment_estimate,
@@ -67,19 +66,19 @@ class TestBuildScm:
     def test_mechanism_validation(self):
         dag = CausalDag.from_edges([("X", "Y")])
         with pytest.raises(ScmError):
-            build_scm(dag, {"X": LinearGaussian(0, {}, 1)})  # missing Y
+            ScmSpec(dag, {"X": LinearGaussian(0, {}, 1)})  # missing Y
         with pytest.raises(ScmError):
-            build_scm(dag, {
+            ScmSpec(dag, {
                 "X": LinearGaussian(0, {}, 1),
                 "Y": LinearGaussian(0, {}, 1),  # missing parent weight
             })
         with pytest.raises(ScmError):
-            build_scm(dag, {
+            ScmSpec(dag, {
                 "X": LinearGaussian(0, {"Y": 1.0}, 1),  # weight for non-parent
                 "Y": LinearGaussian(0, {"X": 1.0}, 1),
             })
         with pytest.raises(ScmError):
-            build_scm(dag, {
+            ScmSpec(dag, {
                 "X": LinearGaussian(0, {}, 1),
                 "Y": BernoulliExogenous(0.5),  # Bernoulli with a parent
             })
@@ -90,11 +89,37 @@ class TestBuildScm:
 
     def test_unbound_template_parameter_rejected_by_build(self):
         dag = CausalDag.from_edges([("X", "Y")])
+        spec = ScmSpec(dag, {
+            "X": LinearGaussian(0, {}, 1),
+            "Y": LinearGaussian(0, {"X": "slope"}, 1),
+        })
         with pytest.raises(ScmError):
-            build_scm(dag, {
-                "X": LinearGaussian(0, {}, 1),
-                "Y": LinearGaussian(0, {"X": "slope"}, 1),
-            })
+            sample(spec, 10, seed=1)
+
+    @pytest.mark.parametrize("mechanisms, message", [
+        ({}, r"missing mechanism for node\(s\): \['X', 'Y'\]"),
+        ({"X": LinearGaussian(0, {}, 1), "Y": LinearGaussian(0, {}, 1)},
+         r"weights for 'Y' must cover exactly its parents \['X'\], got \[\]"),
+        ({"X": LinearGaussian(0, {"Y": 1.0}, 1), "Y": LinearGaussian(0, {"X": 1.0}, 1)},
+         r"weights for 'X' must cover exactly its parents \[\], got \['Y'\]"),
+        ({"X": LinearGaussian(0, {}, 1), "Y": BernoulliExogenous(0.5)},
+         r"Bernoulli node 'Y' cannot have parents"),
+    ], ids=["no-mechanisms", "missing-parent-weight", "non-parent-weight",
+            "bernoulli-with-parent"])
+    def test_a_model_that_contradicts_its_dag_cannot_be_built(self, mechanisms, message):
+        with pytest.raises(ScmError, match=f"^{message}$"):
+            ScmSpec(CausalDag.from_edges([("X", "Y")]), mechanisms)
+
+    def test_sample_refuses_free_parameters(self):
+        template = team_effort_template()
+        with pytest.raises(ScmError, match=r"^unbound parameter\(s\): \['b_e', 'b_s', "):
+            sample(template, 10, seed=1)
+        bound = template.bind(dict.fromkeys(template.parameters, 0.1))
+        assert sample(bound, 10, seed=1).values.shape == (10, 7)
+
+    def test_weights_are_kept_in_parent_order(self):
+        mech = LinearGaussian(0.0, {"Z": 1.0, "A": "a", "M": 2.0}, 1.0)
+        assert list(mech.weights) == ["A", "M", "Z"]
 
 
 class TestSampling:
@@ -259,7 +284,7 @@ class TestSweep:
         # A constant exogenous flag is always collinear with the intercept,
         # so every repetition exhausts its retries.
         dag = CausalDag.from_edges([("C", "Y"), ("X", "Y")])
-        template = ScmTemplate(dag, {
+        template = ScmSpec(dag, {
             "C": BernoulliExogenous(1.0),
             "X": LinearGaussian(0.0, {}, 1.0),
             "Y": LinearGaussian(0.0, {"C": 0.5, "X": "t"}, 1.0),
@@ -289,7 +314,7 @@ class TestSweep:
         # p = 0.89 at n = 7 degenerates often enough that some repetitions
         # exhaust their three retries without sinking the whole cell.
         dag = CausalDag.from_edges([("C", "Y"), ("X", "Y")])
-        template = ScmTemplate(dag, {
+        template = ScmSpec(dag, {
             "C": BernoulliExogenous(0.89),
             "X": LinearGaussian(0.0, {}, 1.0),
             "Y": LinearGaussian(0.0, {"C": 0.5, "X": "t"}, 1.0),
@@ -318,6 +343,21 @@ class TestSweep:
             SweepConfig(template, {"t_e": (0.1,)}, fixed, (10,), 5, "E", ("E",), 1)
         with pytest.raises(ScmError):
             SweepConfig(template, {"t_e": (0.1,)}, fixed, (10,), 5, "E", ("T",), -1)
+
+    @pytest.mark.parametrize("grid, sizes, message", [
+        ({"t_e": (0.1, 0.3, 0.1)}, (10,), "duplicate values for grid parameter 't_e'"),
+        ({"t_e": (0.3, 0.30)}, (10,), "duplicate values for grid parameter 't_e'"),
+        ({"t_e": (0.1,), "z_e": (0.0, -0.0)}, (10,),
+         "duplicate values for grid parameter 'z_e'"),
+        ({"t_e": (0.1, 0.3)}, (10, 5, 10), "duplicate sample sizes in n"),
+    ])
+    def test_repeated_grid_values_and_sample_sizes_are_refused(self, grid, sizes, message):
+        # Their cells would share grid values and n, so no CSV row could be
+        # told from its copy.
+        values = dict.fromkeys(team_effort_template().parameters, 0.1)
+        fixed = {k: v for k, v in values.items() if k not in grid}
+        with pytest.raises(ScmError, match=f"^{message}$"):
+            SweepConfig(team_effort_template(), grid, fixed, sizes, 5, "E", ("T",), 1)
 
 
 class TestClosedFormOracle:
