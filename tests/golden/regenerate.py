@@ -84,12 +84,12 @@ def _cases() -> list[Case]:
         Case("simulate-table5", ("simulate", TABLE5), numeric=True),
         Case("simulate-table5-output", ("simulate", TABLE5, "-o", OUT), numeric=True),
     ]
-    explained = ["adjust-productivity", "augment-productivity", "tip-smd", "evalue-delta",
-                 "fit", "smd", "simulate-small"]
     by_name = {case.name: case for case in plain}
-    cases += [by_name[name]._replace(name=f"explain-{by_name[name].argv[0]}",
-                                     argv=(*by_name[name].argv, "--explain"))
-              for name in explained]
+    explained = [by_name[name] for name in ("adjust-productivity", "augment-productivity",
+                                            "tip-smd", "evalue-delta", "fit", "smd",
+                                            "simulate-small")]
+    cases += [case._replace(name=f"explain-{case.argv[0]}", argv=(*case.argv, "--explain"))
+              for case in explained]
     cases += [
         Case("error-adjust", ("adjust", DAGS["productivity"], "--treatment", "Q")),
         Case("error-augment", ("augment", DAGS["triangle"], "--outcome", "Q")),

@@ -48,6 +48,7 @@ BAD_ROLES = st.sampled_from(["outcome = T", "outcome = Z", "outcome = Q", "predi
 EXTRA_LINES = st.sampled_from(["bogus = 1", "grid.q = 1", "param.q = 1", "nonsense", "= 1",
                                "param.t_e = 0.1", "grid.z_t = 0.2", "n = 5", "seed = 1"])
 
+
 def _run(argv: list[str], data: bytes = b"") -> tuple[int, str]:
     """Run ``main`` with ``data`` as the file named INPUT and output captured;
     the exit code and stdout."""
@@ -147,11 +148,12 @@ def _sweep_config(draw) -> bytes:
     elif edit == "extra":
         lines.append(draw(EXTRA_LINES | st.just(lines[i])))
     elif edit == "roles":
-        lines.append(draw(BAD_ROLES))
-        lines = [line for line in lines if line.split(" =")[0] != lines[-1].split(" =")[0]] \
-            + lines[-1:]
+        role = draw(BAD_ROLES)
+        key = role.split(" =")[0]
+        lines = [line for line in lines if not line.startswith(f"{key} =")] + [role]
     text = "\n".join(draw(st.permutations(lines)))
     return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+
 
 def _row_keys(stdout: str, as_json: bool) -> list[tuple[float, ...]]:
     """Grid values and ``n`` of every sweep cell printed."""

@@ -4,6 +4,9 @@ The cases, the masking and the comparison rules live in
 ``tests/golden/regenerate.py``, which also rewrites the recorded files.
 """
 
+import difflib
+import itertools
+
 import pytest
 
 from golden.regenerate import CASES, EXPECTED, render, same_output
@@ -14,7 +17,11 @@ def test_output_matches_the_golden_file(case):
     expected = (EXPECTED / f"{case.name}.txt").read_text()
     actual = render(case)
     if not same_output(actual, expected, case.numeric):
-        assert actual == expected
+        # A line diff: pytest's own diff of two long strings takes minutes.
+        diff = difflib.unified_diff(expected.splitlines(), actual.splitlines(),
+                                    "golden file", "this run", lineterm="")
+        pytest.fail("\n".join(itertools.islice(diff, 60)) or "line endings differ",
+                    pytrace=False)
 
 
 def test_every_golden_file_has_a_case():
