@@ -9,12 +9,12 @@ from ovbkit import (
     SeparationQuery,
     backdoor_paths,
     edge_confounder_report,
+    format_set,
     is_d_separated,
     minimal_adjustment_sets,
     parse_dag,
     topological_order,
 )
-from ovbkit.adjustment import format_set
 from ovbkit.fixtures import fixture_text
 
 # A ten-variable model of software-project effort.  T (team size) is the

@@ -7,8 +7,7 @@ Run from the repository root:  python3 demos/02_confounded_regression.py
 
 import math
 
-from ovbkit import ols_fit, sample
-from ovbkit.scm import added_cause_scm, confounded_scm, direct_effect_scm
+from ovbkit import added_cause_scm, confounded_scm, direct_effect_scm, ols_fit, sample
 
 N = 200_000
 X_Y, Z_Y, Z_X = 0.4, 0.7, 0.2

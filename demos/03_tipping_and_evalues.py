@@ -16,8 +16,8 @@ from ovbkit import (
     tip_outcome_effect,
     tip_smd,
     tipping_grid,
+    tipping_report,
 )
-from ovbkit.sensitivity import tipping_report
 
 OBSERVED = -0.052          # fitted treatment effect, possibly confounded
 SKILL_ON_QUALITY = 0.835   # plausible confounder -> outcome effect

@@ -8,8 +8,7 @@ A trimmed grid keeps this demo around ten seconds; the bundled
 Run from the repository root:  python3 demos/04_simulation_sweep.py
 """
 
-from ovbkit import run_sweep
-from ovbkit.scm import expected_treatment_estimate, parse_sweep_config
+from ovbkit import expected_treatment_estimate, parse_sweep_config, run_sweep
 
 CONFIG = """
 # fixed context-edge weights (ballpark standardized effect sizes)

@@ -37,6 +37,7 @@ __all__ = [
     "augment_with_confounder",
     "backdoor_paths",
     "edge_confounder_report",
+    "format_set",
     "is_valid_adjustment",
     "minimal_adjustment_sets",
 ]
@@ -114,7 +115,8 @@ def minimal_adjustment_sets(
 ) -> list[frozenset[str]]:
     """All inclusion-minimal valid adjustment sets, smallest first then lexicographic.
 
-    With ``observed_only`` latent nodes are excluded from the candidate pool.
+    With ``observed_only`` only the sets without a latent node are kept: a
+    latent-free minimal set is minimal among observed sets, and conversely.
     An empty list means no valid set exists under the constraint; a single
     empty set means no adjustment is needed.
     """
@@ -122,8 +124,6 @@ def minimal_adjustment_sets(
     backdoor = _backdoor_graph(query)
     # Every minimal separator lies among the ancestors of t and y.
     pool = (ancestors(dag, t) | ancestors(dag, y)) - {t, y} - descendants(dag, t)
-    if observed_only:
-        pool -= dag.latent
     # Some subset of the pool separates exactly when the whole pool does.
     if not is_d_separated(backdoor, SeparationQuery(t, y, pool)):
         return []
@@ -136,7 +136,7 @@ def minimal_adjustment_sets(
                 continue
             if is_d_separated(backdoor, SeparationQuery(t, y, subset)):
                 found.append(subset)
-    return found
+    return [s for s in found if not s & dag.latent] if observed_only else found
 
 
 def augment_with_confounder(dag: CausalDag, edge: tuple[str, str]) -> CausalDag:

@@ -128,6 +128,8 @@ def _load_dag(args, manifest: RunManifest):
 
 
 def cmd_adjust(args, manifest: RunManifest) -> int:
+    if args.with_latents and args.json:
+        raise UsageError("--with-latents conflicts with --json: the JSON holds both lists")
     query = _load_dag(args, manifest)
     with_latents = minimal_adjustment_sets(query)
     observed = [s for s in with_latents if not s & query.dag.latent]

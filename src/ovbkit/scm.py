@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +57,15 @@ class ScmError(ValueError):
     """Invalid structural model, sweep configuration, or sampling request."""
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _require_real(what: str, value) -> None:
+    if not _is_real(value):
+        raise ScmError(f"{what} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BernoulliExogenous:
     """A parentless 0/1 node taking value 1 with probability ``p``."""
@@ -63,6 +73,7 @@ class BernoulliExogenous:
     p: float
 
     def __post_init__(self):
+        _require_real("Bernoulli probability", self.p)
         if not 0.0 <= self.p <= 1.0:
             raise ScmError(f"Bernoulli probability must be in [0, 1], got {self.p}")
 
@@ -82,6 +93,12 @@ class LinearGaussian:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", dict(sorted(self.weights.items())))
+        _require_real("intercept", self.intercept)
+        for parent, weight in self.weights.items():
+            if not (isinstance(weight, str) or _is_real(weight)):
+                raise ScmError(f"weight for parent {parent!r} must be a real number "
+                               f"or a parameter name, got {weight!r}")
+        _require_real("standard deviation", self.sd)
         if not self.sd > 0:
             raise ScmError(f"standard deviation must be positive, got {self.sd}")
 
@@ -111,6 +128,9 @@ class ScmSpec:
             raise ScmError(f"mechanism for undeclared node(s): {sorted(extra)}")
         for node, mech in self.mechanisms.items():
             parents = set(self.dag.parents(node))
+            if not isinstance(mech, (BernoulliExogenous, LinearGaussian)):
+                raise ScmError(f"mechanism for {node!r} must be a BernoulliExogenous "
+                               f"or a LinearGaussian, got {mech!r}")
             if isinstance(mech, BernoulliExogenous):
                 if parents:
                     raise ScmError(f"Bernoulli node {node!r} cannot have parents")

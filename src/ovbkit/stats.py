@@ -27,8 +27,11 @@ __all__ = [
     "StatsError",
     "hpdi",
     "ols_fit",
+    "parse_csv_bytes",
+    "parse_value_groups",
     "read_csv",
     "scaled_mean_diff",
+    "solve_normal_equations",
 ]
 
 _PIVOT_RTOL = 1e-10

@@ -298,26 +298,32 @@ class TestEvalue:
         assert built > 19_000
 
     @pytest.mark.parametrize("argv, message", [
-        (["--estimate", "1", "--sigma", "1", "--delta", "0.5",
+        (["evalue", "--estimate", "1", "--sigma", "1", "--delta", "0.5",
           "--outcome", "y", "--treatment", "t", "--covariates", "a,b"],
          "--outcome, --treatment and --covariates require --fit"),
-        (["--estimate", "1", "--sigma", "1", "--delta", "0.5", "--covariates", "a"],
+        (["evalue", "--estimate", "1", "--sigma", "1", "--delta", "0.5", "--covariates", "a"],
          "--outcome, --treatment and --covariates require --fit"),
-        (["--estimate", "1", "--sigma", "1", "--se", "0.1", "--delta-range", "0.5:1:0.5"],
+        (["evalue", "--estimate", "1", "--sigma", "1", "--se", "0.1",
+          "--delta-range", "0.5:1:0.5"],
          "--se conflicts with --delta-range: a curve holds point E-values only"),
         # The delta flags are checked before --fit is read.
-        (["--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t"],
+        (["evalue", "--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t"],
          "pass exactly one of --delta or --delta-range"),
-        (["--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t",
+        (["evalue", "--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t",
           "--delta", "1", "--delta-range", "0.1:1:0.1"],
          "pass exactly one of --delta or --delta-range"),
-        (["--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t",
+        (["evalue", "--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t",
           "--delta-range", "0:1:0.1"],
          "--delta-range needs 0 < LOW and HIGH <= 1"),
+        # The JSON payload lists the sets with and without latents either way;
+        # the flags are checked before the DAG is read.
+        (["adjust", "no-such-file.dag", "--with-latents", "--json"],
+         "--with-latents conflicts with --json: the JSON holds both lists"),
     ], ids=["fit-columns-without-fit", "covariates-without-fit", "se-with-curve",
-            "fit-without-delta", "fit-with-both-deltas", "fit-with-bad-delta-range"])
+            "fit-without-delta", "fit-with-both-deltas", "fit-with-bad-delta-range",
+            "adjust-with-latents-json"])
     def test_ignored_flags_are_refused(self, capsys, argv, message):
-        code, out, err = run(capsys, "evalue", *argv)
+        code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_delta_range_at_the_cap(self):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -109,6 +110,24 @@ class TestBuildScm:
     def test_a_model_that_contradicts_its_dag_cannot_be_built(self, mechanisms, message):
         with pytest.raises(ScmError, match=f"^{message}$"):
             ScmSpec(CausalDag.from_edges([("X", "Y")]), mechanisms)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ScmSpec(CausalDag.from_edges([("X", "Y")]),
+                         {"X": 1.0, "Y": LinearGaussian(0, {"X": 1.0}, 1)}),
+         "mechanism for 'X' must be a BernoulliExogenous or a LinearGaussian, got 1.0"),
+        (lambda: LinearGaussian(0, {"X": None}, 1),
+         "weight for parent 'X' must be a real number or a parameter name, got None"),
+        (lambda: BernoulliExogenous("0.5"),
+         "Bernoulli probability must be a real number, got '0.5'"),
+        (lambda: LinearGaussian(0, {}, "1"),
+         "standard deviation must be a real number, got '1'"),
+        (lambda: LinearGaussian(True, {}, 1),
+         "intercept must be a real number, got True"),
+    ], ids=["float-mechanism", "none-weight", "string-probability", "string-sd",
+            "bool-intercept"])
+    def test_values_of_the_wrong_type_are_refused(self, build, message):
+        with pytest.raises(ScmError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_sample_refuses_free_parameters(self):
         template = team_effort_template()
