@@ -16,7 +16,6 @@ separates exactly when the pool itself does.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import AbstractSet, Iterable
@@ -140,13 +139,19 @@ def minimal_adjustment_sets(
 
 
 def augment_with_confounder(dag: CausalDag, edge: tuple[str, str]) -> CausalDag:
-    """Add a latent common cause ``Z_<From>_<To>`` of both endpoints of ``edge``."""
+    """Add a latent common cause of both endpoints of ``edge``.
+
+    It is named ``Z_<From>_<To>``, or, if the DAG already has a node of that
+    name, the first of ``Z_<From>_<To>_1``, ``Z_<From>_<To>_2``, ... it lacks.
+    """
     edge = tuple(edge)
     if edge not in dag.edges:
         raise DagError(f"edge {edge[0]} -> {edge[1]} is not in the DAG")
-    name = f"Z_{edge[0]}_{edge[1]}"
-    if name in dag.nodes:
-        raise DagError(f"confounder name {name!r} collides with an existing node")
+    base = name = f"Z_{edge[0]}_{edge[1]}"
+    suffix = 0
+    while name in dag.nodes:
+        suffix += 1
+        name = f"{base}_{suffix}"
     return CausalDag(
         nodes=dag.nodes | {name},
         edges=dag.edges | {(name, edge[0]), (name, edge[1])},
@@ -163,7 +168,10 @@ class EdgeEntry:
     edge: tuple[str, str]
     sets: tuple[frozenset[str], ...]           # minimal sets, latents allowed
     observed_sets: tuple[frozenset[str], ...]  # minimal sets over observed nodes
-    unadjustable: bool
+
+    @property
+    def unadjustable(self) -> bool:
+        return not self.observed_sets
 
 
 @dataclass(frozen=True)
@@ -190,9 +198,6 @@ class AdjustmentReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     def to_text(self) -> str:
         rows = []
         for i, e in enumerate(self.entries, start=1):
@@ -218,8 +223,9 @@ def edge_confounder_report(query: CausalQuery) -> AdjustmentReport:
     """Re-derive adjustment sets after confounding each edge in turn.
 
     Every edge ``X -> Y`` of the DAG is augmented with a latent common cause
-    ``Z_X_Y`` and the minimal adjustment sets of the augmented graph are
-    listed, both with latent nodes allowed and restricted to observed nodes.
+    (``Z_X_Y``, see :func:`augment_with_confounder`) and the minimal
+    adjustment sets of the augmented graph are listed, both with latent nodes
+    allowed and restricted to observed nodes.
     An edge is flagged unadjustable when no observed-only set exists.
     """
     entries = []
@@ -229,12 +235,5 @@ def edge_confounder_report(query: CausalQuery) -> AdjustmentReport:
         with_latents = minimal_adjustment_sets(sub)
         # A minimal set with no latent node is also minimal among observed sets.
         observed = [s for s in with_latents if not s & augmented.latent]
-        entries.append(
-            EdgeEntry(
-                edge=edge,
-                sets=tuple(with_latents),
-                observed_sets=tuple(observed),
-                unadjustable=not observed,
-            )
-        )
+        entries.append(EdgeEntry(edge, tuple(with_latents), tuple(observed)))
     return AdjustmentReport(query.treatment, query.outcome, tuple(entries))

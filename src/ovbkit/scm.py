@@ -15,9 +15,11 @@ import itertools
 import math
 import numbers
 import re
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -61,9 +63,11 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _require_real(what: str, value) -> None:
+def _require_real(what: str, value, kind: str = "a real number") -> None:
     if not _is_real(value):
-        raise ScmError(f"{what} must be a real number, got {value!r}")
+        raise ScmError(f"{what} must be {kind}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also an int too large for a float
+        raise ScmError(f"{what} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,16 @@ class LinearGaussian:
     sd: float
 
     def __post_init__(self):
+        if not (isinstance(self.weights, Mapping)
+                and all(isinstance(parent, str) for parent in self.weights)):
+            raise ScmError(f"weights must be a mapping from parent name to weight, "
+                           f"got {self.weights!r}")
         object.__setattr__(self, "weights", dict(sorted(self.weights.items())))
         _require_real("intercept", self.intercept)
         for parent, weight in self.weights.items():
-            if not (isinstance(weight, str) or _is_real(weight)):
-                raise ScmError(f"weight for parent {parent!r} must be a real number "
-                               f"or a parameter name, got {weight!r}")
+            if not isinstance(weight, str):
+                _require_real(f"weight for parent {parent!r}", weight,
+                              "a real number or a parameter name")
         _require_real("standard deviation", self.sd)
         if not self.sd > 0:
             raise ScmError(f"standard deviation must be positive, got {self.sd}")
@@ -318,16 +326,11 @@ class SweepConfig:
             raise ScmError("duplicate sample sizes in n")
         if self.seed < 0:
             raise ScmError("seed must be a non-negative integer")
-        declared = set(self.grid) | set(self.fixed)
-        free = set(self.template.parameters)
-        if declared != free:
-            raise ScmError(
-                f"grid plus fixed values must cover the template parameters "
-                f"{sorted(free)} exactly, got {sorted(declared)}"
-            )
         overlap = set(self.grid) & set(self.fixed)
         if overlap:
             raise ScmError(f"parameter(s) both fixed and on the grid: {sorted(overlap)}")
+        # bind judges the parameter names; run_sweep binds every grid point.
+        self.template.bind({**self.fixed, **{k: v[0] for k, v in self.grid.items()}})
         dag = self.template.dag
         for name in (self.outcome, *self.predictors):
             dag.require(name)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,6 +123,15 @@ def _csv_table(data: bytes) -> tuple[tuple[str, ...], Iterator[tuple[int, list[s
                 yield reader.line_num, row
         except csv.Error as exc:
             raise StatsError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # The decoder counts positions within its current chunk: decode
+            # the whole file to find the bad byte's offset and line.
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = len((data[:exc.start] + b"x").splitlines())
+                raise StatsError(f"line {line}: {exc}") from None
+            raise
 
     records = numbered()
     header = next((row for _, row in records if row), None)
@@ -206,9 +214,6 @@ class FitResult:
             "std_errors": {k: self.std_errors[k] for k in sorted(self.std_errors)},
             "sigma": self.sigma,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

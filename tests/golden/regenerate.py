@@ -13,6 +13,11 @@ tolerance of 1e-12, because floating-point kernels differ across CPUs.
 ``--help`` and argparse's own error messages are left out: their wording
 differs between Python versions.
 
+The stdout of every demo script is recorded too, as ``expected/demo-NN.txt``,
+and ``tests/test_demos.py`` compares it by the same rules: the demos whose
+numbers pass through numpy (02 and 04) at the tolerance, the others byte for
+byte.
+
 A change that alters an output regenerates every file, from the repository
 root, and says so in CHANGES.md::
 
@@ -22,10 +27,14 @@ root, and says so in CHANGES.md::
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
+import itertools
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -106,6 +115,19 @@ def _cases() -> list[Case]:
 
 CASES = _cases()
 
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+NUMERIC_DEMOS = {"demo-02", "demo-04"}  # their numbers pass through numpy
+
+
+def demo_name(demo: Path) -> str:
+    return f"demo-{demo.name[:2]}"
+
+
+def run_demo(demo: Path) -> subprocess.CompletedProcess:
+    """Run a demo script from the repository root; its stdout is its golden output."""
+    return subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
+                          text=True, timeout=120)
+
 _MASKS = [
     (re.compile(r'"(version|timestamp)": "[^"]*"'), r'"\1": "<masked>"'),
     (re.compile(r"\b(version|time)=\S+"), r"\1=<masked>"),
@@ -155,13 +177,25 @@ def same_output(actual: str, expected: str, numeric: bool) -> bool:
     return True
 
 
+def line_diff(expected: str, actual: str) -> str:
+    """The start of a line diff: pytest's own diff of two long strings takes minutes."""
+    diff = difflib.unified_diff(expected.splitlines(), actual.splitlines(),
+                                "golden file", "this run", lineterm="")
+    return "\n".join(itertools.islice(diff, 60)) or "line endings differ"
+
+
 def regenerate() -> None:
     EXPECTED.mkdir(exist_ok=True)
     for stale in EXPECTED.glob("*.txt"):
         stale.unlink()
     for case in CASES:
         (EXPECTED / f"{case.name}.txt").write_text(render(case))
-    print(f"wrote {len(CASES)} golden files to {EXPECTED.relative_to(ROOT)}")
+    for demo in DEMOS:
+        done = run_demo(demo)
+        if done.returncode:
+            raise SystemExit(f"{demo.name} failed:\n{done.stderr}")
+        (EXPECTED / f"{demo_name(demo)}.txt").write_text(done.stdout)
+    print(f"wrote {len(CASES) + len(DEMOS)} golden files to {EXPECTED.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

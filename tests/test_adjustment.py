@@ -218,9 +218,14 @@ class TestAugmentation:
     def test_errors(self, fig3_query):
         with pytest.raises(DagError):
             augment_with_confounder(fig3_query.dag, ("E", "T"))
+
+    def test_a_taken_name_gets_the_first_free_suffix(self):
         taken = CausalDag.from_edges([("X", "Y"), ("Z_X_Y", "X")])
-        with pytest.raises(DagError):
-            augment_with_confounder(taken, ("X", "Y"))
+        assert augment_with_confounder(taken, ("X", "Y")).latent == {"Z_X_Y_1"}
+        taken = CausalDag.from_edges([("X", "Y"), ("Z_X_Y", "X"), ("Z_X_Y_1", "Y")])
+        augmented = augment_with_confounder(taken, ("X", "Y"))
+        assert augmented.latent == {"Z_X_Y_2"}
+        assert augmented.edges - taken.edges == {("Z_X_Y_2", "X"), ("Z_X_Y_2", "Y")}
 
 
 class TestEdgeConfounderReport:
@@ -250,13 +255,22 @@ class TestEdgeConfounderReport:
         assert len(report.entries) == 1
         assert report.entries[0].unadjustable
 
+    @pytest.mark.parametrize("fixture", ["productivity.dag", "confounder-triangle.dag"])
+    def test_unadjustable_means_no_observed_set(self, fixture):
+        dag = parse_dag(fixture_text(fixture))
+        report = edge_confounder_report(CausalQuery(dag, dag.treatment, dag.outcome))
+        assert [e.unadjustable for e in report.entries] == [
+            not e.observed_sets for e in report.entries
+        ]
+        assert any(e.unadjustable for e in report.entries)
+
     def test_isolated_nodes_do_not_add_rows(self):
         dag = parse_dag("X -> Y\nnode W")
         report = edge_confounder_report(CausalQuery(dag, "X", "Y"))
         assert [e.edge for e in report.entries] == [("X", "Y")]
 
     def test_json_shape(self, fig3_query):
-        payload = json.loads(edge_confounder_report(fig3_query).to_json())
+        payload = json.loads(json.dumps(edge_confounder_report(fig3_query).to_json_dict()))
         assert payload["treatment"] == "T"
         assert len(payload["edges"]) == 18
         first = payload["edges"][0]

@@ -149,6 +149,15 @@ class TestAugment:
         assert len(payload["edges"]) == 1
         assert payload["edges"][0]["unadjustable"] is True
 
+    def test_a_node_named_like_a_confounder(self, capsys, tmp_path):
+        dag = tmp_path / "taken.dag"
+        dag.write_text("treatment T\noutcome E\nT -> E\nZ_T_E -> E\n")
+        code, out, err = run(capsys, "augment", str(dag), "--json")
+        assert code == 0, err
+        by_edge = {(e["from"], e["to"]): e for e in json.loads(out)["edges"]}
+        assert by_edge[("T", "E")]["sets"] == [["Z_T_E_1"]]
+        assert by_edge[("Z_T_E", "E")]["sets"] == [[]]
+
 
 class TestTip:
     def test_solve_smd(self, capsys):
@@ -720,6 +729,20 @@ class TestFitAndSmd:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err == fit_err
+
+    @pytest.mark.parametrize("data, line, position", [
+        (b"y,t\n" + b"1,0\n" * 3000 + b"1,\xff\n", 3002, 12006),  # past the first 8 KB
+        (b"\xef\xbb\xbfy,t\n1,\xff\n", 2, 9),                     # after a byte-order mark
+    ], ids=["past-8k", "after-bom"])
+    def test_undecodable_byte_names_its_line_and_offset(self, capsys, tmp_path, data, line,
+                                                        position):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(data)
+        expected = (f"error: line {line}: 'utf-8' codec can't decode byte 0xff in position "
+                    f"{position}: invalid start byte\n")
+        for argv in (("fit", "--outcome", "y", "--predictors", "t"),
+                     ("smd", "--value", "y", "--group", "t", "--treat", "1", "--ref", "0")):
+            assert run(capsys, argv[0], str(csv_path), *argv[1:]) == (1, "", expected)
 
     def test_fit_byte_order_mark(self, capsys, tmp_path):
         csv_path = tmp_path / "excel.csv"

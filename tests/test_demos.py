@@ -1,13 +1,16 @@
-"""Every demo script runs to completion against this checkout."""
+"""Every demo script runs to completion against this checkout and prints its
+recorded output (``tests/golden/expected/demo-NN.txt``)."""
 
-import subprocess
-import sys
-from pathlib import Path
+import functools
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from golden.regenerate import (
+    DEMOS, EXPECTED, NUMERIC_DEMOS, demo_name, line_diff, run_demo, same_output,
+)
+
+# conftest puts this checkout's src/ on the children's PYTHONPATH.
+run_once = functools.cache(run_demo)
 
 
 def test_demos_are_found():
@@ -16,8 +19,14 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(demo):
-    # conftest puts this checkout's src/ on the children's PYTHONPATH.
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, capture_output=True, text=True, timeout=120
-    )
+    done = run_once(demo)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_output_matches_the_golden_file(demo):
+    name = demo_name(demo)
+    expected = (EXPECTED / f"{name}.txt").read_text()
+    actual = run_once(demo).stdout
+    if not same_output(actual, expected, name in NUMERIC_DEMOS):
+        pytest.fail(line_diff(expected, actual), pytrace=False)

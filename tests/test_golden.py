@@ -4,12 +4,9 @@ The cases, the masking and the comparison rules live in
 ``tests/golden/regenerate.py``, which also rewrites the recorded files.
 """
 
-import difflib
-import itertools
-
 import pytest
 
-from golden.regenerate import CASES, EXPECTED, render, same_output
+from golden.regenerate import CASES, DEMOS, EXPECTED, demo_name, line_diff, render, same_output
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
@@ -17,16 +14,12 @@ def test_output_matches_the_golden_file(case):
     expected = (EXPECTED / f"{case.name}.txt").read_text()
     actual = render(case)
     if not same_output(actual, expected, case.numeric):
-        # A line diff: pytest's own diff of two long strings takes minutes.
-        diff = difflib.unified_diff(expected.splitlines(), actual.splitlines(),
-                                    "golden file", "this run", lineterm="")
-        pytest.fail("\n".join(itertools.islice(diff, 60)) or "line endings differ",
-                    pytrace=False)
+        pytest.fail(line_diff(expected, actual), pytrace=False)
 
 
 def test_every_golden_file_has_a_case():
     recorded = {path.stem for path in EXPECTED.glob("*.txt")}
-    assert recorded == {case.name for case in CASES}
+    assert recorded == {case.name for case in CASES} | {demo_name(demo) for demo in DEMOS}
 
 
 @pytest.mark.parametrize("actual, numeric, same", [

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -123,8 +124,20 @@ class TestBuildScm:
          "standard deviation must be a real number, got '1'"),
         (lambda: LinearGaussian(True, {}, 1),
          "intercept must be a real number, got True"),
+        (lambda: LinearGaussian(math.nan, {}, 1), "intercept must be finite, got nan"),
+        (lambda: LinearGaussian(0, {}, math.inf), "standard deviation must be finite, got inf"),
+        (lambda: LinearGaussian(0, {}, 10**400),
+         f"standard deviation must be finite, got {10**400!r}"),
+        (lambda: LinearGaussian(0, {"X": -math.inf}, 1),
+         "weight for parent 'X' must be finite, got -inf"),
+        (lambda: BernoulliExogenous(math.nan), "Bernoulli probability must be finite, got nan"),
+        (lambda: LinearGaussian(0, [("X", 1.0)], 1),
+         "weights must be a mapping from parent name to weight, got [('X', 1.0)]"),
+        (lambda: LinearGaussian(0, {1: 1.0, "X": 2.0}, 1),
+         "weights must be a mapping from parent name to weight, got {1: 1.0, 'X': 2.0}"),
     ], ids=["float-mechanism", "none-weight", "string-probability", "string-sd",
-            "bool-intercept"])
+            "bool-intercept", "nan-intercept", "infinite-sd", "int-sd-beyond-float",
+            "infinite-weight", "nan-probability", "list-weights", "int-parent"])
     def test_values_of_the_wrong_type_are_refused(self, build, message):
         with pytest.raises(ScmError, match=f"^{re.escape(message)}$"):
             build()
@@ -210,8 +223,9 @@ class TestConfigParsing:
             ("n = 5, 20", "bogus_key = 1"),           # unknown key
             ("grid.t_e = 0.3", "grid.t_e ="),         # empty list
             ("seed = 99", "seed = soon"),             # bad int
-            ("grid.t_e = 0.3", "grid.nope = 0.3"),    # unknown parameter
-            ("param.s_t = -0.1", ""),                 # parameter not covered
+            ("grid.t_e = 0.3", "grid.nope = 0.3",     # unknown parameter
+             r"unknown parameter\(s\): \['nope'\]"),
+            ("param.s_t = -0.1", "", r"unbound parameter\(s\): \['s_t'\]"),  # not covered
             ("predictors = T, B, K, O, S", "predictors = T, Z"),  # latent predictor
             ("repetitions = 40", "repetitions = 0"),
             ("grid.z_t = 0.1", "param.z_t = 0.1\ngrid.z_t = 0.1"),  # both
@@ -219,8 +233,8 @@ class TestConfigParsing:
         ],
     )
     def test_invalid_configs(self, mutation):
-        old, new = mutation
-        with pytest.raises(ScmError):
+        old, new, *message = mutation  # an exact message where one is given
+        with pytest.raises(ScmError, match=f"^{message[0]}$" if message else None):
             parse_sweep_config(SMALL_CONFIG.replace(old, new))
 
     def test_duplicate_key(self):

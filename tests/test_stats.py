@@ -158,7 +158,9 @@ class TestOls:
         for name in ("a", "b"):
             assert forward.coefficients[name] == pytest.approx(backward.coefficients[name])
             assert forward.std_errors[name] == pytest.approx(backward.std_errors[name])
-        assert forward.to_json() == backward.to_json()
+        assert json.dumps(forward.to_json_dict(), indent=2) == json.dumps(
+            backward.to_json_dict(), indent=2
+        )
 
     def test_agrees_with_statsmodels(self):
         sm = pytest.importorskip("statsmodels.api")
@@ -229,7 +231,7 @@ class TestOls:
         data = make_dataset(
             b=[1.0, 2.0, 4.0, 0.5], a=[0.0, 1.0, -1.0, 2.0], y=[1.0, 0.0, 2.0, 1.5]
         )
-        payload = json.loads(ols_fit(data, "y", ["b", "a"]).to_json())
+        payload = json.loads(json.dumps(ols_fit(data, "y", ["b", "a"]).to_json_dict(), indent=2))
         assert list(payload["coefficients"]) == ["a", "b"]
         assert list(payload) == ["n", "intercept", "coefficients", "std_errors", "sigma"]
 
