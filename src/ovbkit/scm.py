@@ -7,6 +7,12 @@ order.  Sweeps draw the repetitions of a cell in blocks, each draw attempt of
 a block from its own seed derived from the tuple (config seed, grid-point
 index, sample-size index, index of the block's first repetition, attempt),
 so a cell's result never depends on which other cells are run.
+
+A model with k_b Bernoulli and k_g Gaussian nodes is linear in its
+exogenous noise, and a regression on n samples sees the noise only through
+its Gram matrix.  A sweep cell with n >= 2**k_b + k_g draws that matrix
+directly, exactly in law and at a cost that does not grow with n; a smaller
+cell samples its n rows node by node, as :func:`sample` does.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .dag import CausalDag
-from .stats import Dataset, Interval, _stacked_least_squares, hpdi
+from .stats import Dataset, Interval, _solve_normal_stack, _stacked_least_squares, hpdi
 
 __all__ = [
     "BernoulliExogenous",
@@ -48,10 +54,12 @@ __all__ = [
 
 _MAX_DRAW_ATTEMPTS = 4  # one draw plus up to three redraws per repetition
 # A sweep block holds as many repetitions as fit in this many values per node
-# (at least one), which bounds a block's memory at any n.  The block size
-# decides which repetitions share a random stream, so changing it changes
-# every simulate CSV.
+# (at least one), which bounds a block's memory at any n.  A repetition counts
+# min(n, 2**k_b + k_g) values: n sampled rows, or the 2**k_b pattern rows and
+# k_g Bartlett rows of its Gram draw.  The block size decides which
+# repetitions share a random stream, so changing it changes every simulate CSV.
 _BLOCK_VALUES = 2**17
+_MAX_SAMPLE_SIZE = 2**63 - 1  # numpy draws pattern counts as 64-bit integers
 _CELL_COLUMNS = ("n", "mean", "l50", "u50", "l95", "u95", "failures")
 
 
@@ -322,6 +330,9 @@ class SweepConfig:
             raise ScmError("repetitions must be at least 1")
         if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
             raise ScmError("sample sizes must be positive")
+        too_large = [n for n in self.sample_sizes if n > _MAX_SAMPLE_SIZE]
+        if too_large:
+            raise ScmError(f"sample sizes must be at most {_MAX_SAMPLE_SIZE}, got {too_large[0]}")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ScmError("duplicate sample sizes in n")
         if self.seed < 0:
@@ -334,6 +345,8 @@ class SweepConfig:
         dag = self.template.dag
         for name in (self.outcome, *self.predictors):
             dag.require(name)
+        if self.outcome in dag.latent:
+            raise ScmError(f"latent node cannot be the regression outcome: {self.outcome!r}")
         bad = set(self.predictors) & dag.latent
         if bad:
             raise ScmError(f"latent node(s) cannot be regression predictors: {sorted(bad)}")
@@ -417,20 +430,28 @@ def _cell_estimates(
     """One sweep cell: the first predictor's coefficient from each repetition
     that produced one, in repetition order, and the number that did not.
 
-    Repetitions are sampled and regressed a block at a time.  A repetition
-    that :func:`_stacked_least_squares` leaves unsolved is redrawn, together
-    with the block's other failures, from the next attempt's seed, and counts
-    as failed after three retries.
+    Repetitions are drawn and regressed a block at a time.  With k_b
+    Bernoulli and k_g normal noise draws per sample, a cell with
+    n >= 2**k_b + k_g draws each repetition's Gram matrix (see
+    :func:`_draw_grams`); a smaller one samples its n rows.  A repetition
+    that :func:`~ovbkit.stats._solve_normal_stack` leaves unsolved is
+    redrawn, together with the block's other failures, from the next
+    attempt's seed, and counts as failed after three retries.
     """
-    block = max(1, _BLOCK_VALUES // n)
+    rows, p, gaussians = _noise_map(spec)
+    threshold = 2**p.size + gaussians
+    block = max(1, _BLOCK_VALUES // min(n, threshold))
     estimates = np.empty(repetitions)
     done = np.zeros(repetitions, dtype=bool)
     for start in range(0, repetitions, block):
         pending = np.arange(start, min(start + block, repetitions))
         for attempt in range(_MAX_DRAW_ATTEMPTS):
-            coef, solved = _draw_estimates(
-                spec, (pending.size, n), outcome, predictors, (*entropy, start, attempt)
-            )
+            rng = _rng_from((*entropy, start, attempt))
+            if n >= threshold:
+                grams = _draw_grams(p, gaussians, n, pending.size, rng)
+                coef, solved = _gram_estimates(rows, grams, outcome, predictors)
+            else:
+                coef, solved = _draw_estimates(spec, (pending.size, n), outcome, predictors, rng)
             estimates[pending[solved]] = coef[solved]
             done[pending[solved]] = True
             pending = pending[~solved]
@@ -444,7 +465,7 @@ def _draw_estimates(
     shape: tuple[int, int],
     outcome: str,
     predictors: tuple[str, ...],
-    entropy: tuple[int, ...],
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``shape = (r, n)``: r repetitions of n samples, then regress each.
 
@@ -454,12 +475,118 @@ def _draw_estimates(
     The draws are freed on return, before the caller makes the next one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = _sample_columns(spec, shape, _rng_from(entropy))
+        columns = _sample_columns(spec, shape, rng)
     design = np.empty((shape[0], len(predictors) + 1, shape[1]))
     design[:, 0] = 1.0
     for i, name in enumerate(predictors, start=1):
         design[:, i] = columns[name]
     coef, solved = _stacked_least_squares(design, columns[outcome])
+    return coef[:, 1], solved
+
+
+def _noise_map(spec: ScmSpec) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
+    """The model as a linear map M of its exogenous noise.
+
+    One sample's noise is u = [1, the Bernoulli draws, the standard normal
+    draws], each group in ``spec.order``, and node v takes the value M[v]·u.
+    Returns the rows M[v], the Bernoulli probabilities and the number of
+    normal draws.  Extreme edge weights can overflow a row; the solver
+    leaves every regression on it unsolved.
+    """
+    bernoulli = [v for v in spec.order if isinstance(spec.mechanisms[v], BernoulliExogenous)]
+    gaussian = [v for v in spec.order if isinstance(spec.mechanisms[v], LinearGaussian)]
+    column = {v: i for i, v in enumerate(bernoulli + gaussian, start=1)}
+    rows: dict[str, np.ndarray] = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node in spec.order:
+            mech = spec.mechanisms[node]
+            row = np.zeros(len(column) + 1)
+            if isinstance(mech, LinearGaussian):
+                row[0] = mech.intercept
+                for parent, weight in mech.weights.items():
+                    row += weight * rows[parent]
+                row[column[node]] = mech.sd
+            else:
+                row[column[node]] = 1.0
+            rows[node] = row
+    return rows, np.array([spec.mechanisms[v].p for v in bernoulli]), len(gaussian)
+
+
+def _draw_grams(
+    p: np.ndarray, gaussians: int, n: int, r: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``r`` draws of the Gram matrix G = sum of uuᵀ over ``n`` noise
+    samples u (see :func:`_noise_map`), exact in law, at a cost that does not
+    grow with ``n``.
+
+    With k_b = ``p.size`` Bernoulli and k_g = ``gaussians`` normal draws per
+    sample, the samples fall into 2**k_b patterns c of the Bernoulli draws.
+    Each stack-wide step takes its draws in turn:
+
+    1. the pattern counts n_c, one multinomial draw;
+    2. the sum s_c of pattern c's normal draws, N(0, n_c·I), drawn as
+       sqrt(n_c)·t_c with t_c standard normal;
+    3. the scatter of the normal draws about their pattern means, summed
+       over the m non-empty patterns: W ~ Wishart(n - m, I), drawn as AAᵀ
+       by Bartlett's decomposition, with A lower triangular,
+       A_ii² ~ chi²(n - m - i) for i = 0, 1, ... and standard normals below
+       the diagonal, taken column by column;
+    4. G from the pattern counts and sums: its Bernoulli block is
+       sum over c of n_c·[1, c][1, c]ᵀ, its cross block the sum of
+       [1, c]·s_cᵀ, and its normal block W plus the sum of s_c·s_cᵀ / n_c
+       over the non-empty patterns.
+
+    Bartlett's decomposition needs n - m >= k_g, which n >= 2**k_b + k_g
+    guarantees.  Returns the stack of Grams, shape ``(r, d, d)`` with
+    d = 1 + k_b + k_g.
+    """
+    k_b, c = p.size, 2**p.size
+    lead = np.hstack([np.ones((c, 1)), list(itertools.product((0.0, 1.0), repeat=k_b))])
+    pattern_p = np.prod(np.where(lead[:, 1:] == 1.0, p, 1.0 - p), axis=1)
+    counts = rng.multinomial(n, pattern_p, size=r)
+    means = rng.standard_normal((r, c, gaussians))  # t_c
+    filled = counts > 0
+    # The rows of ``scatter`` hold t_c for each non-empty pattern, then the
+    # columns of A, so that its Gram is the normal block of G.
+    scatter = np.zeros((r, c + gaussians, gaussians))
+    scatter[:, :c] = np.where(filled[..., None], means, 0.0)
+    bartlett = scatter[:, c:]  # Aᵀ
+    diagonal = np.arange(gaussians)
+    dof = n - filled.sum(axis=1)
+    bartlett[:, diagonal, diagonal] = np.sqrt(rng.chisquare(dof[:, None] - diagonal))
+    above = np.triu_indices(gaussians, 1)
+    bartlett[:, above[0], above[1]] = rng.standard_normal((r, above[0].size))
+
+    # Stacks of small products: each matmul is one BLAS call per Gram, too
+    # small for BLAS to start a thread.
+    b = 1 + k_b  # G's rows and columns: the Bernoulli block [:b], the normal block [b:]
+    grams = np.empty((r, b + gaussians, b + gaussians))
+    outer = (lead[:, :, None] * lead[:, None, :]).reshape(c, b * b)
+    grams[:, :b, :b] = (counts[:, None, :] @ outer).reshape(r, b, b)
+    grams[:, :b, b:] = lead.T @ (np.sqrt(counts)[..., None] * means)
+    grams[:, b:, :b] = grams[:, :b, b:].transpose(0, 2, 1)
+    grams[:, b:, b:] = scatter.transpose(0, 2, 1) @ scatter
+    return grams
+
+
+def _gram_estimates(
+    rows: dict[str, np.ndarray],
+    grams: np.ndarray,
+    outcome: str,
+    predictors: tuple[str, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first predictor's coefficient from each Gram, and which were solved.
+
+    With D the rows of M for the intercept and the predictors, a regression's
+    XᵀX is D·G·Dᵀ and its Xᵀy is D·G·M[outcome].
+    """
+    intercept = np.zeros(grams.shape[1])
+    intercept[0] = 1.0
+    lift = np.stack([intercept, *(rows[v] for v in predictors), rows[outcome]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = lift @ grams @ lift.T
+    p = len(predictors) + 1
+    coef, solved = _solve_normal_stack(moments[:, :p, :p], moments[:, :p, p])
     return coef[:, 1], solved
 
 

@@ -239,29 +239,44 @@ def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np
     ``design`` holds one transposed design matrix per regression, shape
     ``(r, p, n)``, and ``response`` the matching ``(r, n)`` outcomes; the
     coefficients come back as ``(r, p)``.  With ``n >= p`` each system is
-    solved through its normal equations, and fails under the pivot rule of
-    :func:`_cholesky_factor`, which no non-finite XtX passes.  With ``n < p``
-    each gets the minimum-norm solution, with the singular-value cutoff of
-    ``numpy.linalg.lstsq(rcond=None)``, and fails if its design's sum of
-    squares overflows.  A regression that fails, or has a non-finite
-    coefficient, is unsolved; its coefficients are then meaningless.
+    solved through its normal equations by :func:`_solve_normal_stack`.
+    With ``n < p`` each gets the minimum-norm solution, with the
+    singular-value cutoff of ``numpy.linalg.lstsq(rcond=None)``, and fails if
+    its design's sum of squares overflows.  A regression that fails, or has a
+    non-finite coefficient, is unsolved; its coefficients are then
+    meaningless.
 
     ``einsum`` forms the normal equations without BLAS, so no BLAS thread is
     started for large ``n``.
     """
     _, p, n = design.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        if n < p:
-            # LAPACK's SVD may never return on inf or NaN, so such designs
-            # are zeroed before it runs.
-            solved = np.isfinite(np.einsum("rin,rin->r", design, design))
-            if not solved.all():
-                design = np.where(solved[:, None, None], design, 0.0)
-            pinv = np.linalg.pinv(design, rcond=max(n, p) * np.finfo(float).eps)  # (r, n, p)
-            coef = np.einsum("rnp,rn->rp", pinv, response)
-        else:
-            lower, solved = _cholesky_factor(np.einsum("rin,rjn->rij", design, design))
-            coef = _cholesky_substitute(lower, np.einsum("rin,rn->ri", design, response))
+        if n >= p:
+            return _solve_normal_stack(
+                np.einsum("rin,rjn->rij", design, design), np.einsum("rin,rn->ri", design, response)
+            )
+        # LAPACK's SVD may never return on inf or NaN, so such designs are
+        # zeroed before it runs.
+        solved = np.isfinite(np.einsum("rin,rin->r", design, design))
+        if not solved.all():
+            design = np.where(solved[:, None, None], design, 0.0)
+        pinv = np.linalg.pinv(design, rcond=max(n, p) * np.finfo(float).eps)  # (r, n, p)
+        coef = np.einsum("rnp,rn->rp", pinv, response)
+    return coef, solved & np.isfinite(coef).all(axis=1)
+
+
+def _solve_normal_stack(gram: np.ndarray, moment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of a stack of normal equations ``XtX b = Xty``, and which were solved.
+
+    ``gram`` holds the ``(r, p, p)`` matrices XtX and ``moment`` the ``(r, p)``
+    vectors Xty.  A system fails under the pivot rule of
+    :func:`_cholesky_factor`, which no non-finite XtX passes; one that fails,
+    or has a non-finite coefficient, is unsolved, and its coefficients are
+    then meaningless.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, solved = _cholesky_factor(gram)
+        coef = _cholesky_substitute(lower, moment)
     return coef, solved & np.isfinite(coef).all(axis=1)
 
 

@@ -6,6 +6,7 @@ search.  Validity of an adjustment set is decided through the equivalent
 formulation "d-separated in the graph with the treatment's outgoing edges
 removed", which never touches the library's backdoor-path machinery.  Least
 squares is checked against LAPACK's Cholesky and solver, one design at a time.
+The sweep's Gram draws are checked against Grams of sampled noise rows.
 """
 
 from __future__ import annotations
@@ -145,3 +146,17 @@ def lapack_normal_equations(design: np.ndarray, response: np.ndarray) -> np.ndar
     if np.min(np.diag(lower)) ** 2 <= 1e-10 * np.max(np.diag(gram)):
         return None
     return np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ response))
+
+
+def row_sampled_grams(
+    p: np.ndarray, gaussians: int, n: int, r: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``r`` Grams, each the sum of uuᵀ over ``n`` sampled noise rows
+    u = [1, one Bernoulli(p_i) draw per entry of ``p``, ``gaussians``
+    standard normal draws]; shape ``(r, d, d)``."""
+    rows = np.concatenate([
+        np.ones((r, 1, n)),
+        (rng.random((r, p.size, n)) < p[:, None]).astype(float),
+        rng.standard_normal((r, gaussians, n)),
+    ], axis=1)
+    return np.einsum("rin,rjn->rij", rows, rows)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 from ovbkit.cli import _parse_delta_range, main
 from ovbkit.fixtures import fixture_path
-from ovbkit.scm import confounded_scm, load_sweep_config, sample
+from ovbkit.scm import confounded_scm, expected_treatment_estimate, load_sweep_config, sample
 
 SMALL_CONFIG = """\
 param.b_e = 0.3
@@ -579,6 +580,37 @@ class TestSimulate:
         config.write_text("\n".join(edits.get(line.split(" =")[0], line) for line in lines))
         code, out, err = run(capsys, "simulate", str(config))
         assert (code, out, err) == (1, "", "error: duplicate predictor names\n")
+
+    def test_latent_outcome_is_refused(self, capsys, tmp_path):
+        # No analyst can observe Z, so no sweep may regress it.
+        config = tmp_path / "latent.conf"
+        config.write_text(SMALL_CONFIG.replace("outcome = E", "outcome = Z"))
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out) == (1, "")
+        assert err == "error: latent node cannot be the regression outcome: 'Z'\n"
+
+    def test_sample_size_beyond_numpy_is_refused(self, capsys, tmp_path):
+        config = tmp_path / "huge.conf"
+        config.write_text(SMALL_CONFIG.replace("n = 50", f"n = {10**30}"))
+        code, out, err = run(capsys, "simulate", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"error: sample sizes must be at most {2**63 - 1}, got {10**30}\n"
+
+    def test_trillion_row_cell_costs_no_more_than_a_small_one(self, capsys, tmp_path):
+        # Its Gram is drawn without its rows, so the cell takes milliseconds.
+        config = tmp_path / "trillion.conf"
+        config.write_text(SMALL_CONFIG.replace("n = 50", f"n = {10**12}")
+                          .replace("grid.z_e = 0.0", "grid.z_e = 0.5")
+                          .replace("grid.z_t = 0.0", "grid.z_t = -0.3"))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "simulate", str(config))
+        elapsed = time.perf_counter() - started
+        assert code == 0, err
+        assert elapsed < 1.0
+        (row,) = csv.DictReader(out.splitlines())
+        assert int(row["n"]) == 10**12 and row["failures"] == "0"
+        oracle = expected_treatment_estimate(0.3, 0.5, -0.3)
+        assert abs(float(row["mean"]) - oracle) < 0.05
 
     def test_config_error(self, capsys, tmp_path):
         config = tmp_path / "broken.conf"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -7,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from _oracles import row_sampled_grams
+from ovbkit import scm
 from ovbkit.dag import CausalDag
 from ovbkit.scm import (
     BernoulliExogenous,
@@ -22,6 +25,7 @@ from ovbkit.scm import (
     sample,
     team_effort_template,
 )
+from ovbkit.scm import _draw_grams, _gram_estimates, _noise_map, _rng_from, _sample_columns
 
 SMALL_CONFIG = """
 param.b_e = 0.3
@@ -230,6 +234,10 @@ class TestConfigParsing:
             ("repetitions = 40", "repetitions = 0"),
             ("grid.z_t = 0.1", "param.z_t = 0.1\ngrid.z_t = 0.1"),  # both
             ("predictors = T, B, K, O, S", "predictors = T, B, T"),  # duplicate
+            ("outcome = E", "outcome = Z",                # latent outcome
+             "latent node cannot be the regression outcome: 'Z'"),
+            ("n = 5, 20", f"n = 5, {2**63}",              # beyond numpy's counts
+             f"sample sizes must be at most {2**63 - 1}, got {2**63}"),
         ],
     )
     def test_invalid_configs(self, mutation):
@@ -391,6 +399,132 @@ class TestSweep:
         fixed = {k: v for k, v in values.items() if k not in grid}
         with pytest.raises(ScmError, match=f"^{message}$"):
             SweepConfig(team_effort_template(), grid, fixed, sizes, 5, "E", ("T",), 1)
+
+
+EFFORT_PREDICTORS = ("T", "B", "K", "O", "S")
+
+
+def effort_spec() -> ScmSpec:
+    config = parse_sweep_config(SMALL_CONFIG)
+    return config.template.bind({**config.fixed, "t_e": 0.3, "z_e": 0.5, "z_t": 0.5})
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    two empirical distribution functions."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, at, side="right") / a.size
+    cdf_b = np.searchsorted(b, at, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def ks_critical(m: int, n: int, alpha: float) -> float:
+    """The asymptotic critical value of :func:`ks_statistic` at level ``alpha``."""
+    return math.sqrt(-math.log(alpha / 2) / 2 * (m + n) / (m * n))
+
+
+class TestGramDraws:
+    def test_noise_map_reproduces_row_sampling(self):
+        # The row sampler's own draws, stacked as u = [1, Bernoulli draws,
+        # normal draws], give every node's values through its row of M.
+        dag = CausalDag.from_edges([("C", "X"), ("C", "Y"), ("W", "Y"), ("X", "Y")])
+        skewed = ScmSpec(dag, {
+            "C": BernoulliExogenous(0.3),
+            "W": BernoulliExogenous(0.8),
+            "X": LinearGaussian(0.7, {"C": -1.5}, 2.0),
+            "Y": LinearGaussian(-0.2, {"C": 0.4, "W": 1.1, "X": 0.6}, 0.5),
+        })
+        shape = (3, 40)
+        for spec in (effort_spec(), skewed):
+            rows, p, gaussians = _noise_map(spec)
+            columns = _sample_columns(spec, shape, _rng_from(11))
+            rng, noise = _rng_from(11), {}
+            for node in spec.order:
+                mech = spec.mechanisms[node]
+                if isinstance(mech, BernoulliExogenous):
+                    noise[node] = (rng.random(shape) < mech.p).astype(float)
+                else:
+                    noise[node] = rng.standard_normal(shape)
+            bernoulli = [v for v in spec.order
+                         if isinstance(spec.mechanisms[v], BernoulliExogenous)]
+            normal = [v for v in spec.order if v not in bernoulli]
+            assert p.tolist() == [spec.mechanisms[v].p for v in bernoulli]
+            assert gaussians == len(normal)
+            u = np.stack([np.ones(shape), *(noise[v] for v in bernoulli + normal)])
+            for node in spec.order:
+                np.testing.assert_allclose(
+                    np.tensordot(rows[node], u, axes=1), columns[node], rtol=1e-12, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("n, reps", [(12, 4000), (50, 4000), (20_000, 400)])
+    def test_tracked_coefficient_has_the_row_samplers_law(self, n, reps):
+        rows, p, gaussians = _noise_map(effort_spec())
+        grams = _draw_grams(p, gaussians, n, reps, _rng_from((3, n)))
+        drawn, drawn_ok = _gram_estimates(rows, grams, "E", EFFORT_PREDICTORS)
+        rng = np.random.default_rng(n)
+        chunk = max(1, 2**18 // n)  # sampled rows of a large n fit in memory a chunk at a time
+        sampled = np.concatenate([
+            row_sampled_grams(p, gaussians, n, min(chunk, reps - start), rng)
+            for start in range(0, reps, chunk)
+        ])
+        oracle, oracle_ok = _gram_estimates(rows, sampled, "E", EFFORT_PREDICTORS)
+        a, b = drawn[drawn_ok], oracle[oracle_ok]
+        assert ks_statistic(a, b) < ks_critical(a.size, b.size, 0.001)
+
+    @pytest.mark.parametrize("n", [12, 50, 10**9])
+    def test_mean_gram_is_n_times_the_noise_moment(self, n):
+        p, gaussians, reps = np.array([0.2, 0.5, 0.9]), 3, 20_000
+        grams = _draw_grams(p, gaussians, n, reps, _rng_from((5, n)))
+        mean_u = np.concatenate([[1.0], p, np.zeros(gaussians)])
+        moment = np.outer(mean_u, mean_u)  # E[uuᵀ]: independent entries...
+        moment[np.diag_indices(mean_u.size)] = np.concatenate([[1.0], p, np.ones(gaussians)])
+        assert (grams[:, 0, 0] == n).all()
+        mean = grams.mean(axis=0)
+        error = grams.std(axis=0, ddof=1) / math.sqrt(reps)
+        assert (np.abs(mean - n * moment) <= 5 * error).all()
+
+    def test_failure_rate_at_the_threshold_is_the_exact_one(self):
+        # At n = 12 a draw is rank deficient exactly when the Bernoulli
+        # patterns [1, B, K, O] it holds span fewer than 4 dimensions.  The
+        # chance that the occupied patterns are exactly the set S is found
+        # by inclusion-exclusion over the subsets of S.
+        n, patterns = 12, np.array(list(itertools.product((0, 1), repeat=3)))
+        lead = np.hstack([np.ones((8, 1)), patterns])
+        exact = 0.0
+        for size in range(1, 9):
+            for occupied in itertools.combinations(range(8), size):
+                if np.linalg.matrix_rank(lead[list(occupied)]) == 4:
+                    continue
+                exact += sum((-1) ** (size - k) * math.comb(size, k) * (k / 8) ** n
+                             for k in range(size + 1))
+        assert exact == pytest.approx(0.0029875, abs=1e-7)
+        rows, p, gaussians = _noise_map(effort_spec())
+        reps, failed = 0, 0
+        for seed in range(10):
+            grams = _draw_grams(p, gaussians, n, 20_000, _rng_from((7, seed)))
+            _, solved = _gram_estimates(rows, grams, "E", EFFORT_PREDICTORS)
+            reps, failed = reps + solved.size, failed + int((~solved).sum())
+        assert abs(failed / reps - exact) <= 4 * math.sqrt(exact * (1 - exact) / reps)
+
+    def test_cells_from_2_to_the_k_b_plus_k_g_draw_grams(self, monkeypatch):
+        # The effort model has 3 Bernoulli and 4 normal draws per sample, so
+        # Grams are drawn from n = 12 on, in blocks of 2**17 // 12 repetitions.
+        sizes = []
+
+        def recorded(p, gaussians, n, r, rng):
+            sizes.append((n, r))
+            return draw_grams(p, gaussians, n, r, rng)
+
+        draw_grams = scm._draw_grams
+        monkeypatch.setattr(scm, "_draw_grams", recorded)
+        text = SMALL_CONFIG.replace("grid.z_e = 0.1, 0.5", "grid.z_e = 0.1") \
+                           .replace("n = 5, 20", "n = 11, 12") \
+                           .replace("repetitions = 40", "repetitions = 11000")
+        run_sweep(parse_sweep_config(text))
+        assert {n for n, _ in sizes} == {12}
+        assert sizes[0] == (12, 2**17 // 12)
+        assert (12, 11000 - 2**17 // 12) in sizes
 
 
 class TestClosedFormOracle:
