@@ -477,7 +477,9 @@ class TestGramDraws:
         p, gaussians, reps = np.array([0.2, 0.5, 0.9]), 3, 20_000
         grams = _draw_grams(p, gaussians, n, reps, _rng_from((5, n)))
         mean_u = np.concatenate([[1.0], p, np.zeros(gaussians)])
-        moment = np.outer(mean_u, mean_u)  # E[uuᵀ]: independent entries...
+        # u's entries are independent, so E[uuᵀ] is the outer product of
+        # their means off the diagonal, with E[b²] = p and E[g²] = 1 on it.
+        moment = np.outer(mean_u, mean_u)
         moment[np.diag_indices(mean_u.size)] = np.concatenate([[1.0], p, np.ones(gaussians)])
         assert (grams[:, 0, 0] == n).all()
         mean = grams.mean(axis=0)
