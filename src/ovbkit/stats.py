@@ -367,7 +367,13 @@ def hpdi(samples: Sequence[float], mass: float) -> Interval:
         raise StatsError("mass must be in (0, 1]")
     # The small slack absorbs float error in mass * n (e.g. 0.6 * 5 -> 3.0000000000000004).
     k = max(1, math.ceil(mass * n - 1e-9))
-    widths = arr[k - 1:] - arr[: n - k + 1]
+    with np.errstate(over="ignore"):
+        widths = arr[k - 1:] - arr[: n - k + 1]
+    if np.isinf(widths).any():
+        # Finite samples near +-1e308 can span more than the largest float.
+        # Halving both ends keeps every width finite and, above the
+        # subnormal range, ranks the windows exactly as the full widths do.
+        widths = arr[k - 1:] / 2 - arr[: n - k + 1] / 2
     start = int(np.argmin(widths))
     return Interval(float(arr[start]), float(arr[start + k - 1]), mass)
 

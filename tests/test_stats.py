@@ -388,6 +388,13 @@ class TestHpdi:
     def test_full_mass_is_min_max(self):
         assert hpdi([3.0, -1.0, 10.0], 1.0) == Interval(-1.0, 10.0, 1.0)
 
+    def test_windows_wider_than_the_largest_float(self):
+        # Both windows span more than 1.8e308; the later one is narrower.
+        samples = [-1.7e308, -0.9e308, 0.5e308, 0.95e308]
+        with np.errstate(all="raise"):
+            assert hpdi(samples, 0.75) == Interval(-0.9e308, 0.95e308, 0.75)
+            assert hpdi([9.9e307, -1.1e308], 0.95) == Interval(-1.1e308, 9.9e307, 0.95)
+
     def test_errors(self):
         with pytest.raises(StatsError):
             hpdi([], 0.5)
