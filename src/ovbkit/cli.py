@@ -189,11 +189,11 @@ def cmd_tip(args, manifest: RunManifest) -> int:
         sentence = (
             f"{result.value:.2f} confounders of the given strength would suffice to "
             f"flip the sign of the measured effect ({args.observed:g}); at least "
-            f"{math.ceil(result.value)} whole confounders strictly flip it"
+            f"{result.whole_confounders} whole confounders strictly flip it"
         )
     payload = {"solve": result.kind, "observed": args.observed, "value": result.value}
     if result.kind == "n_confounders_needed":
-        payload["whole_confounders"] = math.ceil(result.value)
+        payload["whole_confounders"] = result.whole_confounders
     _emit(payload, f"{result.value!r}\n{sentence}\n", manifest, args.json)
     return 0
 

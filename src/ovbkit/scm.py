@@ -8,11 +8,13 @@ a block from its own seed derived from the tuple (config seed, grid-point
 index, sample-size index, index of the block's first repetition, attempt),
 so a cell's result never depends on which other cells are run.
 
-A model with k_b Bernoulli and k_g Gaussian nodes is linear in its
-exogenous noise, and a regression on n samples sees the noise only through
-its Gram matrix.  A sweep cell with n >= 2**k_b + k_g draws that matrix
-directly, exactly in law and at a cost that does not grow with n; a smaller
-cell samples its n rows node by node, as :func:`sample` does.
+Every model here is linear in its exogenous noise: one Bernoulli or standard
+normal draw per node, and node v takes the value M[v]·u (see
+:func:`_noise_map`).  :func:`sample` and a sweep cell with n < 2**k_b + k_g,
+for k_b Bernoulli and k_g Gaussian nodes, draw u row by row and map it
+through M.  A regression on n samples sees the noise only through its Gram
+matrix, so a larger cell draws that matrix directly, exactly in law and at a
+cost that does not grow with n.
 """
 
 from __future__ import annotations
@@ -196,28 +198,12 @@ def _rng_from(entropy: int | tuple[int, ...]) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _sample_columns(
-    spec: ScmSpec, shape: int | tuple[int, ...], rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    """One array of the given shape per node, drawn node by node in ``spec.order``."""
-    columns: dict[str, np.ndarray] = {}
-    for node in spec.order:
-        mech = spec.mechanisms[node]
-        if isinstance(mech, BernoulliExogenous):
-            columns[node] = (rng.random(shape) < mech.p).astype(float)
-        else:
-            mean = np.full(shape, float(mech.intercept))
-            for parent, weight in mech.weights.items():
-                mean += weight * columns[parent]
-            columns[node] = mean + mech.sd * rng.standard_normal(shape)
-    return columns
-
-
 def sample(spec: ScmSpec, n: int, seed: int) -> Dataset:
     """Draw ``n`` joint samples; identical (spec, n, seed) give identical bytes.
 
     The returned dataset has one column per node, latent nodes included, in
-    the model's topological order.
+    the model's topological order.  Extreme edge weights can overflow a
+    value, and :class:`~ovbkit.stats.Dataset` refuses a non-finite one.
     """
     if n < 1:
         raise ScmError("sample count must be at least 1")
@@ -225,8 +211,11 @@ def sample(spec: ScmSpec, n: int, seed: int) -> Dataset:
         raise ScmError("seed must be a non-negative integer")
     if spec.parameters:
         raise ScmError(f"unbound parameter(s): {list(spec.parameters)}")
-    columns = _sample_columns(spec, n, _rng_from(seed))
-    return Dataset(spec.order, np.column_stack([columns[c] for c in spec.order]))
+    rows, _, _ = _noise_map(spec)
+    noise = _draw_noise(spec, (n,), _rng_from(seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = noise @ np.stack([rows[v] for v in spec.order]).T
+    return Dataset(spec.order, values)
 
 
 # --- bundled models ----------------------------------------------------------
@@ -430,15 +419,17 @@ def _cell_estimates(
     """One sweep cell: the first predictor's coefficient from each repetition
     that produced one, in repetition order, and the number that did not.
 
-    Repetitions are drawn and regressed a block at a time.  With k_b
-    Bernoulli and k_g normal noise draws per sample, a cell with
-    n >= 2**k_b + k_g draws each repetition's Gram matrix (see
-    :func:`_draw_grams`); a smaller one samples its n rows.  A repetition
-    that :func:`~ovbkit.stats._solve_normal_stack` leaves unsolved is
-    redrawn, together with the block's other failures, from the next
-    attempt's seed, and counts as failed after three retries.
+    Repetitions are drawn and regressed a block at a time, both through the
+    noise map M.  With k_b Bernoulli and k_g normal noise draws per sample, a
+    cell with n >= 2**k_b + k_g draws each repetition's Gram matrix of the
+    noise (see :func:`_draw_grams`); a smaller one draws its n noise rows
+    (see :func:`_draw_noise`).  A repetition that
+    :func:`~ovbkit.stats._solve_normal_stack` leaves unsolved is redrawn,
+    together with the block's other failures, from the next attempt's seed,
+    and counts as failed after three retries.
     """
     rows, p, gaussians = _noise_map(spec)
+    lift = _lift(rows, outcome, predictors)
     threshold = 2**p.size + gaussians
     block = max(1, _BLOCK_VALUES // min(n, threshold))
     estimates = np.empty(repetitions)
@@ -447,11 +438,11 @@ def _cell_estimates(
         pending = np.arange(start, min(start + block, repetitions))
         for attempt in range(_MAX_DRAW_ATTEMPTS):
             rng = _rng_from((*entropy, start, attempt))
+            # Each draw is freed on return, before the next attempt makes its own.
             if n >= threshold:
-                grams = _draw_grams(p, gaussians, n, pending.size, rng)
-                coef, solved = _gram_estimates(rows, grams, outcome, predictors)
+                coef, solved = _gram_estimates(lift, _draw_grams(p, gaussians, n, pending.size, rng))
             else:
-                coef, solved = _draw_estimates(spec, (pending.size, n), outcome, predictors, rng)
+                coef, solved = _row_estimates(lift, _draw_noise(spec, (pending.size, n), rng))
             estimates[pending[solved]] = coef[solved]
             done[pending[solved]] = True
             pending = pending[~solved]
@@ -460,42 +451,45 @@ def _cell_estimates(
     return estimates[done], repetitions - int(done.sum())
 
 
-def _draw_estimates(
-    spec: ScmSpec,
-    shape: tuple[int, int],
-    outcome: str,
-    predictors: tuple[str, ...],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``shape = (r, n)``: r repetitions of n samples, then regress each.
+def _noise_columns(spec: ScmSpec) -> dict[str, int]:
+    """Each node's column in one sample's noise u = [1, the Bernoulli draws,
+    the standard normal draws], each group in ``spec.order``."""
+    bernoulli = [v for v in spec.order if isinstance(spec.mechanisms[v], BernoulliExogenous)]
+    gaussian = [v for v in spec.order if isinstance(spec.mechanisms[v], LinearGaussian)]
+    return {v: i for i, v in enumerate(bernoulli + gaussian, start=1)}
 
-    Returns the first predictor's coefficient per repetition and which
-    repetitions :func:`_stacked_least_squares` solved.  Extreme edge weights
-    can overflow a draw; the solver leaves such a repetition unsolved.
-    The draws are freed on return, before the caller makes the next one.
+
+def _draw_noise(
+    spec: ScmSpec, shape: tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """The noise u of one sample per index of ``shape``, as an array of shape
+    ``(*shape, d)`` laid out by :func:`_noise_columns`.
+
+    The draws are taken node by node in ``spec.order``, one array of
+    ``shape`` each: a uniform compared with ``p`` for a Bernoulli node, a
+    standard normal for any other.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = _sample_columns(spec, shape, rng)
-    design = np.empty((shape[0], len(predictors) + 1, shape[1]))
-    design[:, 0] = 1.0
-    for i, name in enumerate(predictors, start=1):
-        design[:, i] = columns[name]
-    coef, solved = _stacked_least_squares(design, columns[outcome])
-    return coef[:, 1], solved
+    column = _noise_columns(spec)
+    noise = np.empty((*shape, len(column) + 1))
+    noise[..., 0] = 1.0
+    for node in spec.order:
+        mech = spec.mechanisms[node]
+        if isinstance(mech, BernoulliExogenous):
+            noise[..., column[node]] = rng.random(shape) < mech.p
+        else:
+            noise[..., column[node]] = rng.standard_normal(shape)
+    return noise
 
 
 def _noise_map(spec: ScmSpec) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
     """The model as a linear map M of its exogenous noise.
 
-    One sample's noise is u = [1, the Bernoulli draws, the standard normal
-    draws], each group in ``spec.order``, and node v takes the value M[v]·u.
-    Returns the rows M[v], the Bernoulli probabilities and the number of
-    normal draws.  Extreme edge weights can overflow a row; the solver
-    leaves every regression on it unsolved.
+    One sample's noise u is laid out by :func:`_noise_columns`, and node v
+    takes the value M[v]·u.  Returns the rows M[v], the Bernoulli
+    probabilities and the number of normal draws.  Extreme edge weights can
+    overflow a row; the solver leaves every regression on it unsolved.
     """
-    bernoulli = [v for v in spec.order if isinstance(spec.mechanisms[v], BernoulliExogenous)]
-    gaussian = [v for v in spec.order if isinstance(spec.mechanisms[v], LinearGaussian)]
-    column = {v: i for i, v in enumerate(bernoulli + gaussian, start=1)}
+    column = _noise_columns(spec)
     rows: dict[str, np.ndarray] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for node in spec.order:
@@ -509,7 +503,16 @@ def _noise_map(spec: ScmSpec) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
             else:
                 row[column[node]] = 1.0
             rows[node] = row
-    return rows, np.array([spec.mechanisms[v].p for v in bernoulli]), len(gaussian)
+    p = [spec.mechanisms[v].p for v in column if isinstance(spec.mechanisms[v], BernoulliExogenous)]
+    return rows, np.array(p), len(column) - len(p)
+
+
+def _lift(rows: dict[str, np.ndarray], outcome: str, predictors: tuple[str, ...]) -> np.ndarray:
+    """The rows of M for the intercept, the predictors and the outcome: one
+    sample's regression values are lift·u."""
+    intercept = np.zeros(rows[outcome].size)
+    intercept[0] = 1.0
+    return np.stack([intercept, *(rows[v] for v in predictors), rows[outcome]])
 
 
 def _draw_grams(
@@ -569,24 +572,29 @@ def _draw_grams(
     return grams
 
 
-def _gram_estimates(
-    rows: dict[str, np.ndarray],
-    grams: np.ndarray,
-    outcome: str,
-    predictors: tuple[str, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first predictor's coefficient from each Gram, and which were solved.
+def _gram_estimates(lift: np.ndarray, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first predictor's coefficient from each noise Gram G, and which were solved.
 
-    With D the rows of M for the intercept and the predictors, a regression's
-    XᵀX is D·G·Dᵀ and its Xᵀy is D·G·M[outcome].
+    With D the intercept and predictor rows of ``lift`` (see :func:`_lift`),
+    a regression's XᵀX is D·G·Dᵀ and its Xᵀy is D·G·M[outcome].
     """
-    intercept = np.zeros(grams.shape[1])
-    intercept[0] = 1.0
-    lift = np.stack([intercept, *(rows[v] for v in predictors), rows[outcome]])
     with np.errstate(over="ignore", invalid="ignore"):
         moments = lift @ grams @ lift.T
-    p = len(predictors) + 1
+    p = lift.shape[0] - 1
     coef, solved = _solve_normal_stack(moments[:, :p, :p], moments[:, :p, p])
+    return coef[:, 1], solved
+
+
+def _row_estimates(lift: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first predictor's coefficient from each repetition's noise rows,
+    shape ``(r, n, d)``, and which :func:`_stacked_least_squares` solved.
+
+    A repetition's design and outcome are its rows u·liftᵀ (see :func:`_lift`);
+    one that overflows is left unsolved.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = lift @ noise.transpose(0, 2, 1)  # (r, p + 1, n): the rows' transpose
+    coef, solved = _stacked_least_squares(values[:, :-1], values[:, -1])
     return coef[:, 1], solved
 
 

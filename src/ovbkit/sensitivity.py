@@ -34,7 +34,6 @@ __all__ = [
     "tip_outcome_effect",
     "tip_smd",
     "tipping_grid",
-    "tipping_grid_csv",
     "tipping_report",
 ]
 
@@ -53,6 +52,13 @@ class TipResult:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise SensitivityError("tipping result is not finite")
+
+    @property
+    def whole_confounders(self) -> int:
+        """For a confounder count, the fewest whole confounders that strictly
+        flip the effect: the smallest whole number above ``value``.  A count
+        that is already whole only drives the effect to zero."""
+        return math.floor(self.value) + 1
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,8 @@ def tip_outcome_effect(observed: float, smd: float) -> TipResult:
 def tip_n_confounders(observed: float, smd: float, outcome_effect: float) -> TipResult:
     """How many identical confounders of the given strength cancel the effect.
 
-    Returned as a real number; round up for a whole-confounder reading.
+    Returned as a real number; :attr:`TipResult.whole_confounders` is its
+    whole-confounder reading.
     """
     product = smd * outcome_effect
     if product == 0:
@@ -130,15 +137,15 @@ def tipping_report(tip: TipInput) -> dict:
     if tip.confounder_outcome_effect is not None and tip.confounder_smd is not None:
         count = tip_n_confounders(
             tip.observed_effect, tip.confounder_smd, tip.confounder_outcome_effect
-        ).value
+        )
         scenarios.append({
             "given": {
                 "smd": tip.confounder_smd,
                 "outcome_effect": tip.confounder_outcome_effect,
             },
             "kind": "n_confounders_needed",
-            "value": count,
-            "whole_confounders": math.ceil(count),
+            "value": count.value,
+            "whole_confounders": count.whole_confounders,
         })
     return {"observed_effect": tip.observed_effect, "scenarios": scenarios}
 
@@ -173,14 +180,6 @@ def tipping_grid(
             if effect != 0:
                 rows.append(TippingPoint(observed, observed / effect, effect))
     return rows
-
-
-def tipping_grid_csv(rows: Iterable[TippingPoint]) -> str:
-    buf = io.StringIO()
-    buf.write("observed,smd,effect\n")
-    for row in rows:
-        buf.write(f"{row.observed!r},{row.smd!r},{row.outcome_effect!r}\n")
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,21 @@ search.  Validity of an adjustment set is decided through the equivalent
 formulation "d-separated in the graph with the treatment's outgoing edges
 removed", which never touches the library's backdoor-path machinery.  Least
 squares is checked against LAPACK's Cholesky and solver, one design at a time.
-The sweep's Gram draws are checked against Grams of sampled noise rows.
+The sweep's Gram draws are checked against Grams of sampled noise rows, the
+noise map against a node-by-node sampler, and every solvable sweep draw of
+the effort model against the closed-form law of its treatment coefficient.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
 
 from ovbkit.dag import CausalDag
+from ovbkit.scm import BernoulliExogenous, ScmSpec
 
 _NAMES = list("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
@@ -160,3 +164,55 @@ def row_sampled_grams(
         rng.standard_normal((r, gaussians, n)),
     ], axis=1)
     return np.einsum("rin,rjn->rij", rows, rows)
+
+
+def sample_columns(
+    spec: ScmSpec, shape: int | tuple[int, ...], rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """One array of the given shape per node, drawn node by node in ``spec.order``."""
+    columns: dict[str, np.ndarray] = {}
+    for node in spec.order:
+        mech = spec.mechanisms[node]
+        if isinstance(mech, BernoulliExogenous):
+            columns[node] = (rng.random(shape) < mech.p).astype(float)
+        else:
+            mean = np.full(shape, float(mech.intercept))
+            for parent, weight in mech.weights.items():
+                mean += weight * columns[parent]
+            columns[node] = mean + mech.sd * rng.standard_normal(shape)
+    return columns
+
+
+def effort_law(t_e: float, z_e: float, z_t: float) -> tuple[float, float]:
+    """The law of the effort model's outcome E given an intercept, T and the
+    observed covariates B, K, O and S, with Z omitted: (beta, sigma).
+
+    Z is Gaussian and independent of B, K, O and S, so given them and T it is
+    normal with mean z_t * (T - o_t * O - s_t * S) / (1 + z_t**2) and variance
+    1 / (1 + z_t**2).  So E is exactly normal given the regressors, with mean
+    linear in them, T's coefficient being beta = t_e + z_e * z_t / (1 + z_t**2),
+    and with variance sigma**2 = 1 + z_e**2 / (1 + z_t**2).
+    """
+    return t_e + z_e * z_t / (1.0 + z_t**2), math.sqrt(1.0 + z_e**2 / (1.0 + z_t**2))
+
+
+def treatment_z_scores(
+    gram: np.ndarray, coef: np.ndarray, beta: float, sigma: float
+) -> np.ndarray:
+    """z = (b_T - beta) / (sigma * sqrt([(XtX)^-1]_TT)) for each regression.
+
+    ``gram`` holds the ``(r, p, p)`` matrices XtX, with T second after the
+    intercept, and ``coef`` the ``(r,)`` least-squares coefficients b_T.  When
+    the outcome is N(X·b, sigma**2) given the design X, with T's entry of b
+    equal to beta, z is exactly standard normal at every n >= p, whatever the
+    law of the design.
+    """
+    return (coef - beta) / (sigma * np.sqrt(np.linalg.inv(gram)[:, 1, 1]))
+
+
+def ks_against_standard_normal(z: np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov statistic of ``z`` against N(0, 1)."""
+    z = np.sort(z)
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+    steps = np.arange(z.size + 1) / z.size
+    return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))

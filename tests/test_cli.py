@@ -181,6 +181,16 @@ class TestTip:
         assert "2.04" in out
         assert "at least 3 whole confounders" in out
 
+    def test_solve_n_at_a_whole_count_needs_one_more(self, capsys):
+        # 0.2 / (0.5 * 0.4) is exactly 1: one confounder only cancels the effect.
+        argv = ("tip", "--observed", "0.2", "--solve", "n", "--smd", "0.5", "--effect", "0.4")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "1.0"
+        assert "at least 2 whole confounders strictly flip it" in out
+        code, out, _ = run(capsys, *argv, "--json")
+        assert json.loads(out)["whole_confounders"] == 2
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -8,7 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import row_sampled_grams
+from _oracles import (
+    effort_law,
+    ks_against_standard_normal,
+    row_sampled_grams,
+    sample_columns,
+    treatment_z_scores,
+)
 from ovbkit import scm
 from ovbkit.dag import CausalDag
 from ovbkit.scm import (
@@ -25,7 +31,17 @@ from ovbkit.scm import (
     sample,
     team_effort_template,
 )
-from ovbkit.scm import _draw_grams, _gram_estimates, _noise_map, _rng_from, _sample_columns
+from ovbkit.scm import (
+    _cell_estimates,
+    _draw_grams,
+    _draw_noise,
+    _gram_estimates,
+    _lift,
+    _noise_map,
+    _rng_from,
+    _row_estimates,
+)
+from ovbkit.stats import StatsError, _solve_normal_stack
 
 SMALL_CONFIG = """
 param.b_e = 0.3
@@ -200,6 +216,18 @@ class TestSampling:
             sample(spec, 0, seed=1)
         with pytest.raises(ScmError):
             sample(spec, 10, seed=-4)
+
+    def test_overflowing_values_are_refused(self):
+        # Y's row of the noise map overflows to inf, and the Bernoulli
+        # draws of 0 make inf * 0 = nan in some samples; numpy stays quiet.
+        dag = CausalDag.from_edges([("C", "X"), ("X", "Y")])
+        spec = ScmSpec(dag, {
+            "C": BernoulliExogenous(0.5),
+            "X": LinearGaussian(0.0, {"C": 1e200}, 1.0),
+            "Y": LinearGaussian(0.0, {"X": 1e200}, 1.0),
+        })
+        with pytest.raises(StatsError, match="^dataset values must be finite$"):
+            sample(spec, 10, seed=1)
 
 
 class TestConfigParsing:
@@ -426,8 +454,9 @@ def ks_critical(m: int, n: int, alpha: float) -> float:
 
 class TestGramDraws:
     def test_noise_map_reproduces_row_sampling(self):
-        # The row sampler's own draws, stacked as u = [1, Bernoulli draws,
-        # normal draws], give every node's values through its row of M.
+        # The package's noise draw, mapped through M, gives every node the
+        # values that sampling node by node from the same stream gives, and
+        # so does sample().
         dag = CausalDag.from_edges([("C", "X"), ("C", "Y"), ("W", "Y"), ("X", "Y")])
         skewed = ScmSpec(dag, {
             "C": BernoulliExogenous(0.3),
@@ -438,37 +467,37 @@ class TestGramDraws:
         shape = (3, 40)
         for spec in (effort_spec(), skewed):
             rows, p, gaussians = _noise_map(spec)
-            columns = _sample_columns(spec, shape, _rng_from(11))
-            rng, noise = _rng_from(11), {}
-            for node in spec.order:
-                mech = spec.mechanisms[node]
-                if isinstance(mech, BernoulliExogenous):
-                    noise[node] = (rng.random(shape) < mech.p).astype(float)
-                else:
-                    noise[node] = rng.standard_normal(shape)
             bernoulli = [v for v in spec.order
                          if isinstance(spec.mechanisms[v], BernoulliExogenous)]
-            normal = [v for v in spec.order if v not in bernoulli]
             assert p.tolist() == [spec.mechanisms[v].p for v in bernoulli]
-            assert gaussians == len(normal)
-            u = np.stack([np.ones(shape), *(noise[v] for v in bernoulli + normal)])
+            assert gaussians == len(spec.order) - len(bernoulli)
+            noise = _draw_noise(spec, shape, _rng_from(11))
+            columns = sample_columns(spec, shape, _rng_from(11))
             for node in spec.order:
                 np.testing.assert_allclose(
-                    np.tensordot(rows[node], u, axes=1), columns[node], rtol=1e-12, atol=1e-12
+                    noise @ rows[node], columns[node], rtol=1e-12, atol=1e-12
+                )
+            data = sample(spec, 500, seed=11)
+            columns = sample_columns(spec, 500, _rng_from(11))
+            assert data.columns == spec.order
+            for node in spec.order:
+                np.testing.assert_allclose(
+                    data.column(node), columns[node], rtol=1e-12, atol=1e-12
                 )
 
     @pytest.mark.parametrize("n, reps", [(12, 4000), (50, 4000), (20_000, 400)])
     def test_tracked_coefficient_has_the_row_samplers_law(self, n, reps):
         rows, p, gaussians = _noise_map(effort_spec())
+        lift = _lift(rows, "E", EFFORT_PREDICTORS)
         grams = _draw_grams(p, gaussians, n, reps, _rng_from((3, n)))
-        drawn, drawn_ok = _gram_estimates(rows, grams, "E", EFFORT_PREDICTORS)
+        drawn, drawn_ok = _gram_estimates(lift, grams)
         rng = np.random.default_rng(n)
         chunk = max(1, 2**18 // n)  # sampled rows of a large n fit in memory a chunk at a time
         sampled = np.concatenate([
             row_sampled_grams(p, gaussians, n, min(chunk, reps - start), rng)
             for start in range(0, reps, chunk)
         ])
-        oracle, oracle_ok = _gram_estimates(rows, sampled, "E", EFFORT_PREDICTORS)
+        oracle, oracle_ok = _gram_estimates(lift, sampled)
         a, b = drawn[drawn_ok], oracle[oracle_ok]
         assert ks_statistic(a, b) < ks_critical(a.size, b.size, 0.001)
 
@@ -502,10 +531,11 @@ class TestGramDraws:
                              for k in range(size + 1))
         assert exact == pytest.approx(0.0029875, abs=1e-7)
         rows, p, gaussians = _noise_map(effort_spec())
+        lift = _lift(rows, "E", EFFORT_PREDICTORS)
         reps, failed = 0, 0
         for seed in range(10):
             grams = _draw_grams(p, gaussians, n, 20_000, _rng_from((7, seed)))
-            _, solved = _gram_estimates(rows, grams, "E", EFFORT_PREDICTORS)
+            _, solved = _gram_estimates(lift, grams)
             reps, failed = reps + solved.size, failed + int((~solved).sum())
         assert abs(failed / reps - exact) <= 4 * math.sqrt(exact * (1 - exact) / reps)
 
@@ -529,6 +559,66 @@ class TestGramDraws:
         assert (12, 11000 - 2**17 // 12) in sizes
 
 
+# Every edge weight of the effort model away from the others, so that no
+# term of the law cancels by accident.
+SKEWED = {"b_e": 0.8, "b_s": 1.2, "k_e": -0.6, "k_s": 0.4, "o_e": 0.5, "o_t": -1.1,
+          "s_e": -0.3, "s_t": 0.9, "t_e": 0.3, "z_e": 0.9, "z_t": -0.7}
+LAW_DRAWS = 20_000
+
+
+def ks_critical_one_sample(m: int, alpha: float) -> float:
+    """The asymptotic critical value of :func:`ks_against_standard_normal` at level ``alpha``."""
+    return math.sqrt(-math.log(alpha / 2) / 2 / m)
+
+
+class TestClosedFormLaw:
+    """Given the design, the tracked coefficient of any solvable draw is
+    exactly N(beta, sigma**2 [(XtX)^-1]_TT), at every n >= p; see
+    :func:`_oracles.effort_law`."""
+
+    spec = team_effort_template().bind(SKEWED)
+    law = effort_law(SKEWED["t_e"], SKEWED["z_e"], SKEWED["z_t"])
+    p = len(EFFORT_PREDICTORS) + 1
+
+    def test_the_law_centres_on_the_closed_form(self):
+        assert self.law[0] == expected_treatment_estimate(
+            SKEWED["t_e"], SKEWED["z_e"], SKEWED["z_t"]
+        )
+
+    @pytest.mark.parametrize("n", [7, 10, 11])
+    def test_row_draws_follow_the_law(self, n):
+        rows, _, _ = _noise_map(self.spec)
+        lift = _lift(rows, "E", EFFORT_PREDICTORS)
+        noise = _draw_noise(self.spec, (LAW_DRAWS, n), _rng_from((13, n)))
+        coef, solved = _row_estimates(lift, noise)
+        design = noise[solved] @ lift[:self.p].T
+        gram = np.einsum("rni,rnj->rij", design, design)
+        z = treatment_z_scores(gram, coef[solved], *self.law)
+        assert ks_against_standard_normal(z) < ks_critical_one_sample(z.size, 0.001)
+
+    @pytest.mark.parametrize("n", [12, 50, 10**6])
+    def test_gram_draws_follow_the_law(self, n):
+        rows, p, gaussians = _noise_map(self.spec)
+        lift = _lift(rows, "E", EFFORT_PREDICTORS)
+        grams = _draw_grams(p, gaussians, n, LAW_DRAWS, _rng_from((17, n)))
+        coef, solved = _gram_estimates(lift, grams)
+        design = lift[:self.p]
+        z = treatment_z_scores(design @ grams[solved] @ design.T, coef[solved], *self.law)
+        assert ks_against_standard_normal(z) < ks_critical_one_sample(z.size, 0.001)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_cell_means_are_unbiased_at_every_solvable_n(self, n):
+        # At n = p the coefficient's variance is infinite, but it is
+        # symmetric about beta, so the mean stays within a few of its
+        # sample standard errors.
+        estimates, failures = _cell_estimates(
+            self.spec, n, "E", EFFORT_PREDICTORS, 4000, (19, 0, n)
+        )
+        assert failures < 40
+        error = float(np.std(estimates, ddof=1)) / math.sqrt(estimates.size)
+        assert abs(float(np.mean(estimates)) - self.law[0]) <= 4 * error
+
+
 class TestClosedFormOracle:
     def test_no_confounding_returns_main_effect(self):
         assert expected_treatment_estimate(0.3, 0.0, 0.7) == 0.3
@@ -537,8 +627,6 @@ class TestClosedFormOracle:
     def test_sweep_means_within_monte_carlo_error_of_oracle(self):
         # |cell mean - closed form| should stay below 4 standard errors of the
         # mean, with the spread recomputed from the per-repetition estimates.
-        from ovbkit.scm import _cell_estimates
-
         text = SMALL_CONFIG.replace("grid.z_e = 0.1, 0.5", "grid.z_e = -0.5, 0.3") \
                            .replace("grid.z_t = 0.1", "grid.z_t = 0.4") \
                            .replace("n = 5, 20", "n = 50") \

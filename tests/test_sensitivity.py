@@ -14,7 +14,6 @@ from ovbkit.sensitivity import (
     tip_outcome_effect,
     tip_smd,
     tipping_grid,
-    tipping_grid_csv,
     tipping_report,
 )
 
@@ -94,6 +93,14 @@ class TestTippingReport:
         assert kinds == ["smd_needed", "outcome_effect_needed", "n_confounders_needed"]
         assert report["scenarios"][2]["whole_confounders"] == 3
 
+    def test_a_whole_count_needs_one_more_confounder_to_flip(self):
+        # One confounder only cancels the effect; a second flips it.
+        assert adjusted_effect(0.2, 0.5, 0.4, 1).value == 0.0
+        assert tip_n_confounders(0.2, 0.5, 0.4).value == 1.0
+        report = tipping_report(TipInput(0.2, confounder_outcome_effect=0.4, confounder_smd=0.5))
+        assert report["scenarios"][2]["whole_confounders"] == 2
+        assert adjusted_effect(0.2, 0.5, 0.4, 2).value < 0.0
+
     def test_requires_at_least_one_estimate(self):
         with pytest.raises(SensitivityError):
             TipInput(-0.052)
@@ -123,10 +130,6 @@ class TestTippingGrid:
             tipping_grid([], [1.0], [1.0])
         with pytest.raises(SensitivityError):
             tipping_grid([0.1], [], [1.0])
-
-    def test_csv_header(self):
-        text = tipping_grid_csv(tipping_grid([0.1], [0.5], [0.2]))
-        assert text.splitlines()[0] == "observed,smd,effect"
 
 
 class TestEValues:
