@@ -3,10 +3,10 @@
 Sampling is bit-reproducible for a given numpy version: the random source is
 numpy's counter-based Philox generator, normal variates come from its
 ``standard_normal``, and nodes are always sampled in the DAG's topological
-order.  Sweeps draw the repetitions of a cell in blocks, each draw attempt of
-a block from its own seed derived from the tuple (config seed, grid-point
-index, sample-size index, index of the block's first repetition, attempt),
-so a cell's result never depends on which other cells are run.
+order.  Sweeps draw the repetitions of each sample size in blocks, each draw
+attempt of a block from its own seed derived from the tuple (config seed,
+sample-size index, index of the block's first repetition, attempt), and each
+draw serves every grid point: a cell's result depends on no other cell.
 
 Every model here is linear in its exogenous noise: one Bernoulli or standard
 normal draw per node, and node v takes the value M[v]·u (see
@@ -56,10 +56,12 @@ __all__ = [
 
 _MAX_DRAW_ATTEMPTS = 4  # one draw plus up to three redraws per repetition
 # A sweep block holds as many repetitions as fit in this many values per node
-# (at least one), which bounds a block's memory at any n.  A repetition counts
+# (at least one), which bounds a draw's memory at any n.  A repetition counts
 # min(n, 2**k_b + k_g) values: n sampled rows, or the 2**k_b pattern rows and
 # k_g Bartlett rows of its Gram draw.  The block size decides which
 # repetitions share a random stream, so changing it changes every simulate CSV.
+# Grid points are solved on a draw in chunks of at least one, with grid points
+# x repetitions in the block x values per repetition within the same bound.
 _BLOCK_VALUES = 2**17
 _MAX_SAMPLE_SIZE = 2**63 - 1  # numpy draws pattern counts as 64-bit integers
 _CELL_COLUMNS = ("n", "mean", "l50", "u50", "l95", "u95", "failures")
@@ -293,8 +295,8 @@ class SweepConfig:
     """A parameter sweep: grid values for some template parameters, fixed
     values for the rest, sample sizes, repetitions, and the regression run on
     each draw.  The first predictor is the treatment whose coefficient is
-    tracked.  Grid order matters: sweep seeds are derived from the
-    positional indices of grid point and sample size."""
+    tracked.  Sample-size order matters: sweep seeds are derived from the
+    positional index of the sample size, and every grid point shares them."""
 
     template: ScmSpec
     grid: Mapping[str, tuple[float, ...]]
@@ -408,47 +410,59 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _cell_estimates(
+def _grid_estimates(
     spec: ScmSpec,
+    lifts: np.ndarray,
     n: int,
-    outcome: str,
-    predictors: tuple[str, ...],
     repetitions: int,
-    entropy: tuple[int, int, int],
-) -> tuple[np.ndarray, int]:
-    """One sweep cell: the first predictor's coefficient from each repetition
-    that produced one, in repetition order, and the number that did not.
+    entropy: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every grid point's tracked coefficient from each repetition at sample
+    size ``n``, shape ``(grid points, repetitions)``, and which were solved.
 
-    Repetitions are drawn and regressed a block at a time, both through the
-    noise map M.  With k_b Bernoulli and k_g normal noise draws per sample, a
-    cell with n >= 2**k_b + k_g draws each repetition's Gram matrix of the
+    ``lifts`` stacks each grid point's :func:`_lift`; ``spec``, any grid
+    point's model, gives the noise layout they share.  Repetitions are drawn
+    a block at a time, and each draw serves every grid point (common random
+    numbers).  With k_b Bernoulli and k_g normal noise draws per sample, a
+    block with n >= 2**k_b + k_g draws each repetition's Gram matrix of the
     noise (see :func:`_draw_grams`); a smaller one draws its n noise rows
-    (see :func:`_draw_noise`).  A repetition that
-    :func:`~ovbkit.stats._solve_normal_stack` leaves unsolved is redrawn,
-    together with the block's other failures, from the next attempt's seed,
-    and counts as failed after three retries.
+    (see :func:`_draw_noise`).  Attempt a of a block draws the whole block
+    from the seed ``(*entropy, block start, a)``, and a repetition keeps its
+    index in the block as its slot in every draw.  The (grid point,
+    repetition) pairs that :func:`~ovbkit.stats._solve_normal_stack` or
+    :func:`~ovbkit.stats._stacked_least_squares` leaves unsolved are solved
+    again on the next attempt's draw, and stay unsolved after three retries.
+    So a cell depends only on the seed, its sample size and that size's index,
+    the repetitions and its own model.
     """
-    rows, p, gaussians = _noise_map(spec)
-    lift = _lift(rows, outcome, predictors)
+    _, p, gaussians = _noise_map(spec)
     threshold = 2**p.size + gaussians
-    block = max(1, _BLOCK_VALUES // min(n, threshold))
-    estimates = np.empty(repetitions)
-    done = np.zeros(repetitions, dtype=bool)
+    width = min(n, threshold)
+    block = max(1, _BLOCK_VALUES // width)
+    estimates = np.zeros((len(lifts), repetitions))
+    solved = np.zeros((len(lifts), repetitions), dtype=bool)
     for start in range(0, repetitions, block):
-        pending = np.arange(start, min(start + block, repetitions))
+        size = min(block, repetitions - start)
+        chunk = max(1, _BLOCK_VALUES // (size * width))  # grid points solved at once
         for attempt in range(_MAX_DRAW_ATTEMPTS):
-            rng = _rng_from((*entropy, start, attempt))
-            # Each draw is freed on return, before the next attempt makes its own.
-            if n >= threshold:
-                coef, solved = _gram_estimates(lift, _draw_grams(p, gaussians, n, pending.size, rng))
-            else:
-                coef, solved = _row_estimates(lift, _draw_noise(spec, (pending.size, n), rng))
-            estimates[pending[solved]] = coef[solved]
-            done[pending[solved]] = True
-            pending = pending[~solved]
-            if not pending.size:
+            pending = ~solved[:, start:start + size]
+            if not pending.any():
                 break
-    return estimates[done], repetitions - int(done.sum())
+            rng = _rng_from((*entropy, start, attempt))
+            if n >= threshold:
+                draw, estimate = _draw_grams(p, gaussians, n, size, rng), _gram_estimates
+            else:
+                draw, estimate = _draw_noise(spec, (size, n), rng), _row_estimates
+            for first in range(0, len(lifts), chunk):
+                points, reps = np.nonzero(pending[first:first + chunk])
+                if not points.size:
+                    continue
+                points += first
+                coef, ok = estimate(lifts[points], draw[reps])
+                estimates[points[ok], start + reps[ok]] = coef[ok]
+                solved[points[ok], start + reps[ok]] = True
+            del draw  # freed before the next attempt makes its own
+    return estimates, solved
 
 
 def _noise_columns(spec: ScmSpec) -> dict[str, int]:
@@ -575,12 +589,13 @@ def _draw_grams(
 def _gram_estimates(lift: np.ndarray, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first predictor's coefficient from each noise Gram G, and which were solved.
 
-    With D the intercept and predictor rows of ``lift`` (see :func:`_lift`),
-    a regression's XᵀX is D·G·Dᵀ and its Xᵀy is D·G·M[outcome].
+    ``lift`` is one :func:`_lift` for every Gram, or one per Gram.  With D
+    its intercept and predictor rows, a regression's XᵀX is D·G·Dᵀ and its
+    Xᵀy is D·G·M[outcome].
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = lift @ grams @ lift.T
-    p = lift.shape[0] - 1
+        moments = lift @ grams @ lift.swapaxes(-1, -2)
+    p = lift.shape[-2] - 1
     coef, solved = _solve_normal_stack(moments[:, :p, :p], moments[:, :p, p])
     return coef[:, 1], solved
 
@@ -589,8 +604,9 @@ def _row_estimates(lift: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.
     """The first predictor's coefficient from each repetition's noise rows,
     shape ``(r, n, d)``, and which :func:`_stacked_least_squares` solved.
 
-    A repetition's design and outcome are its rows u·liftᵀ (see :func:`_lift`);
-    one that overflows is left unsolved.
+    ``lift`` is one :func:`_lift` for every repetition, or one per
+    repetition.  A repetition's design and outcome are its rows u·liftᵀ; one
+    that overflows is left unsolved.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = lift @ noise.transpose(0, 2, 1)  # (r, p + 1, n): the rows' transpose
@@ -603,19 +619,27 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     For every grid point and sample size the model is sampled and refit
     ``config.repetitions`` times; the tracked coefficient's mean and its 50%
-    and 95% HPD intervals are summarized per cell.  Results are bit-identical
-    across runs of the same config.
+    and 95% HPD intervals are summarized per cell.  Every grid point is refit
+    on the same draws (see :func:`_grid_estimates`): each cell's law is that
+    of independent draws, but cells are correlated across grid points, and
+    the difference of two positively correlated cells has less Monte Carlo
+    variance.  Results are bit-identical across runs of the same config.
     """
+    points = [dict(zip(config.grid_names, point)) for point in config.grid_points()]
+    specs = [config.template.bind({**config.fixed, **params}) for params in points]
+    lifts = np.stack([
+        _lift(_noise_map(spec)[0], config.outcome, config.predictors) for spec in specs
+    ])
+    by_size = [
+        _grid_estimates(specs[0], lifts, n, config.repetitions, (config.seed, si))
+        for si, n in enumerate(config.sample_sizes)
+    ]
     cells = []
-    for gi, point in enumerate(config.grid_points()):
-        params = dict(zip(config.grid_names, point))
-        spec = config.template.bind({**config.fixed, **params})
-        for si, n in enumerate(config.sample_sizes):
-            estimates, failures = _cell_estimates(
-                spec, n, config.outcome, config.predictors, config.repetitions,
-                (config.seed, gi, si),
-            )
+    for gi, params in enumerate(points):
+        for n, (estimates, solved) in zip(config.sample_sizes, by_size):
+            failures = config.repetitions - int(solved[gi].sum())
             failed = failures > 0.1 * config.repetitions
+            estimates = estimates[gi, solved[gi]]
             with np.errstate(over="ignore"):  # finite estimates near 1e308 can sum to inf
                 mean = math.nan if failed else float(np.mean(estimates))
             if math.isfinite(mean):

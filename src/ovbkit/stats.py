@@ -4,7 +4,8 @@ The regression here is plain ordinary least squares with analytic standard
 errors.  Every normal-equations solve, a single ``fit`` or a sweep's whole
 stack of small regressions, goes through one vectorised Cholesky
 factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
-diagonal entry of XtX counts as rank deficiency.
+diagonal entry of XtX counts as rank deficiency.  A sweep regression with
+fewer rows than parameters factors XXt the same way, at a cutoff of 1e-5.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ __all__ = [
 ]
 
 _PIVOT_RTOL = 1e-10
+# The dual solve at n < p factors XXt, whose condition number is that of X
+# squared, so it needs a stricter cutoff than XtX.  At this one an accepted
+# solution agrees with ``lstsq`` to 1e-9 relative to its norm.  At 1e-10,
+# effort-model draws at n = 5 differed by up to 2.8e-2; at 1e-6, draws of
+# small random models by up to 2.4e-9.
+_DUAL_PIVOT_RTOL = 1e-5
 _TOO_LARGE = "values too large to fit"
 
 
@@ -240,11 +247,13 @@ def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np
     ``(r, p, n)``, and ``response`` the matching ``(r, n)`` outcomes; the
     coefficients come back as ``(r, p)``.  With ``n >= p`` each system is
     solved through its normal equations by :func:`_solve_normal_stack`.
-    With ``n < p`` each gets the minimum-norm solution, with the
-    singular-value cutoff of ``numpy.linalg.lstsq(rcond=None)``, and fails if
-    its design's sum of squares overflows.  A regression that fails, or has a
-    non-finite coefficient, is unsolved; its coefficients are then
-    meaningless.
+    With ``n < p`` each gets the minimum-norm solution b = Xt w, where
+    XXt w = y is factored by :func:`_cholesky_factor` at the stricter dual
+    cutoff; a system that fails that pivot rule is solved by ``pinv`` with
+    the singular-value cutoff of ``numpy.linalg.lstsq(rcond=None)``.  At
+    ``n < p`` a system also fails if its design's sum of squares overflows.
+    A regression that fails, or has a non-finite coefficient, is unsolved;
+    its coefficients are then meaningless.
 
     ``einsum`` forms the normal equations without BLAS, so no BLAS thread is
     started for large ``n``.
@@ -256,12 +265,16 @@ def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np
                 np.einsum("rin,rjn->rij", design, design), np.einsum("rin,rn->ri", design, response)
             )
         # LAPACK's SVD may never return on inf or NaN, so such designs are
-        # zeroed before it runs.
+        # zeroed before any solve; their XXt then fails every pivot.
         solved = np.isfinite(np.einsum("rin,rin->r", design, design))
         if not solved.all():
             design = np.where(solved[:, None, None], design, 0.0)
-        pinv = np.linalg.pinv(design, rcond=max(n, p) * np.finfo(float).eps)  # (r, n, p)
-        coef = np.einsum("rnp,rn->rp", pinv, response)
+        lower, dual = _cholesky_factor(design.transpose(0, 2, 1) @ design, _DUAL_PIVOT_RTOL)
+        coef = np.einsum("rpn,rn->rp", design, _cholesky_substitute(lower, response))
+        fallback = solved & ~dual
+        if fallback.any():
+            pinv = np.linalg.pinv(design[fallback], rcond=max(n, p) * np.finfo(float).eps)
+            coef[fallback] = np.einsum("rnp,rn->rp", pinv, response[fallback])
     return coef, solved & np.isfinite(coef).all(axis=1)
 
 
@@ -280,18 +293,18 @@ def _solve_normal_stack(gram: np.ndarray, moment: np.ndarray) -> tuple[np.ndarra
     return coef, solved & np.isfinite(coef).all(axis=1)
 
 
-def _cholesky_factor(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky_factor(gram: np.ndarray, rtol: float = _PIVOT_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a stack of symmetric matrices, and which passed.
 
     The factor is built one column at a time across the whole stack.  A
-    matrix fails when a pivot ``diag(L)**2`` is not above 1e-10 times its
+    matrix fails when a pivot ``diag(L)**2`` is not above ``rtol`` times its
     largest diagonal entry (or is not a number); from its first failed pivot
     on, its factor continues as the identity so that the other matrices'
     arithmetic stays finite.  LAPACK's Cholesky cannot be used here: one
     failed matrix makes it raise for the whole stack.
     """
     r, p, _ = gram.shape
-    floor = _PIVOT_RTOL * np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    floor = rtol * np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
     lower = np.zeros_like(gram)
     solved = np.ones(r, dtype=bool)
     for j in range(p):

@@ -4,9 +4,12 @@ The cases, the masking and the comparison rules live in
 ``tests/golden/regenerate.py``, which also rewrites the recorded files.
 """
 
+import hashlib
+import re
+
 import pytest
 
-from golden.regenerate import CASES, DEMOS, EXPECTED, demo_name, line_diff, render, same_output
+from golden.regenerate import CASES, DEMOS, EXPECTED, ROOT, demo_name, line_diff, render, same_output
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
@@ -20,6 +23,17 @@ def test_output_matches_the_golden_file(case):
 def test_every_golden_file_has_a_case():
     recorded = {path.stem for path in EXPECTED.glob("*.txt")}
     assert recorded == {case.name for case in CASES} | {demo_name(demo) for demo in DEMOS}
+
+
+def test_readme_quotes_the_recorded_table5_hash():
+    # The recorded stdout, not a live run: a live run may round differently
+    # on another CPU or BLAS.  The format puts a separator line after it.
+    readme = (ROOT / "README.md").read_text()
+    quoted = re.search(r"`table5\.conf`\s+CSV\s+has\s+sha256\s+`([0-9a-f]{16})…`", readme)
+    recorded = (EXPECTED / "simulate-table5.txt").read_text()
+    stdout = recorded.split("\n--- stdout\n", 1)[1].split("\n--- stderr\n", 1)[0]
+    assert quoted is not None
+    assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == quoted.group(1)
 
 
 @pytest.mark.parametrize("actual, numeric, same", [

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     effort_law,
@@ -15,7 +17,7 @@ from _oracles import (
     sample_columns,
     treatment_z_scores,
 )
-from ovbkit import scm
+from ovbkit import scm, stats
 from ovbkit.dag import CausalDag
 from ovbkit.scm import (
     BernoulliExogenous,
@@ -32,10 +34,10 @@ from ovbkit.scm import (
     team_effort_template,
 )
 from ovbkit.scm import (
-    _cell_estimates,
     _draw_grams,
     _draw_noise,
     _gram_estimates,
+    _grid_estimates,
     _lift,
     _noise_map,
     _rng_from,
@@ -333,20 +335,32 @@ class TestSweep:
 
     def test_non_finite_draws_never_reach_the_solver(self, monkeypatch):
         # With z_t = 1e308 the treatment overflows to inf in some samples.
-        # The n < p path takes an SVD, which may never return on inf, so
-        # such draws must count as failed without reaching it.
-        pinv = np.linalg.pinv
-        fits = []
+        # The n < p path factors XXt, then takes an SVD of the designs that
+        # fail its pivot rule, and the SVD may never return on inf.  So such
+        # draws must count as failed without reaching either.
+        pinv, factor, rng_from = np.linalg.pinv, stats._cholesky_factor, scm._rng_from
+        duals, seeds = [], []
 
         def finite_only(design, *args, **kwargs):
             assert np.isfinite(design).all()
-            fits.append(len(design))
             return pinv(design, *args, **kwargs)
 
+        def finite_dual(gram, *args):
+            assert np.isfinite(gram).all()
+            duals.append(len(gram))
+            return factor(gram, *args)
+
+        def recorded(entropy):
+            seeds.append(entropy)
+            return rng_from(entropy)
+
         monkeypatch.setattr(np.linalg, "pinv", finite_only)
+        monkeypatch.setattr(stats, "_cholesky_factor", finite_dual)
+        monkeypatch.setattr(scm, "_rng_from", recorded)
         text = SMALL_CONFIG.replace("grid.z_t = 0.1", "grid.z_t = 1e308")
         result = run_sweep(parse_sweep_config(text.replace("n = 5, 20", "n = 5")))
-        assert sum(fits) > 2 * 40  # the overflowed repetitions were redrawn
+        assert duals
+        assert any(attempt > 0 for *_, attempt in seeds)  # the overflowed repetitions were redrawn
         assert all(cell.failed or np.isfinite(cell.mean) for cell in result.cells)
 
     def test_all_degenerate_draws_fail_the_cell(self):
@@ -430,6 +444,14 @@ class TestSweep:
 
 
 EFFORT_PREDICTORS = ("T", "B", "K", "O", "S")
+
+
+def cell_estimates(spec, n, outcome, predictors, repetitions, entropy):
+    """One grid point's cell, run alone through the sweep engine: the tracked
+    coefficient of each solved repetition, in order, and the number unsolved."""
+    lift = _lift(_noise_map(spec)[0], outcome, predictors)
+    estimates, solved = _grid_estimates(spec, lift[None], n, repetitions, entropy)
+    return estimates[0, solved[0]], repetitions - int(solved.sum())
 
 
 def effort_spec() -> ScmSpec:
@@ -559,6 +581,136 @@ class TestGramDraws:
         assert (12, 11000 - 2**17 // 12) in sizes
 
 
+def csv_rows_by_cell(result) -> dict[tuple[str, ...], str]:
+    """Each CSV row of a sweep, keyed by its grid values and n."""
+    key_width = len(result.grid_names) + 1
+    return {tuple(line.split(",")[:key_width]): line for line in result.to_csv().splitlines()[1:]}
+
+
+def recorded_row_solves(patch, config) -> list[tuple[np.ndarray, ...]]:
+    """Run ``config``; the lifts, noise rows, coefficients and solved flags of
+    every batched row solve, in call order."""
+    calls = []
+    row_estimates = scm._row_estimates
+
+    def recorded(lift, noise):
+        coef, solved = row_estimates(lift, noise)
+        calls.append((lift, noise, coef, solved))
+        return coef, solved
+
+    patch.setattr(scm, "_row_estimates", recorded)
+    run_sweep(config)
+    return calls
+
+
+def check_shared_draw_against_lstsq(patch, config, tolerance) -> int:
+    """The sweep's first row solve holds every (grid point, repetition) pair on
+    one shared draw, and every solved pair of every row solve has the tracked
+    coefficient of per-design ``lstsq`` on lift·U, to ``tolerance`` relative to
+    the norm of lstsq's coefficients.  Returns the number of pairs checked."""
+    calls = recorded_row_solves(patch, config)
+    lift, noise, _, _ = calls[0]
+    points, repetitions = len(config.grid_points()), config.repetitions
+    assert len(noise) == points * repetitions
+    assert len(np.unique(lift.reshape(len(lift), -1), axis=0)) == points
+    assert len(np.unique(noise.reshape(len(noise), -1), axis=0)) == repetitions
+    checked = 0
+    for lift, noise, coef, solved in calls:
+        for k in np.flatnonzero(solved):
+            values = noise[k] @ lift[k].T
+            expected = np.linalg.lstsq(values[:, :-1], values[:, -1], rcond=None)[0]
+            assert abs(coef[k] - expected[1]) <= tolerance * np.linalg.norm(expected)
+            checked += 1
+    return checked
+
+
+@st.composite
+def small_models(draw) -> tuple[ScmSpec, str, tuple[str, ...]]:
+    """A random model of 3-4 Bernoulli roots and 3-4 Gaussian nodes, each
+    Gaussian node with random parents among the nodes before it; the last
+    is the outcome, with the free weight ``w`` on its edge from the first
+    Gaussian node, the treatment.  With 7 or more nodes the second Gaussian
+    node may be latent.  Every sweep over it has 6 to 8 regression
+    parameters, and draws noise rows below n = 11."""
+    bernoulli = [f"B{i}" for i in range(draw(st.integers(3, 4)))]
+    gaussian = [f"G{i}" for i in range(draw(st.integers(3, 4)))]
+    weight = st.floats(-2.0, 2.0)
+    mechanisms = {v: BernoulliExogenous(draw(st.floats(0.2, 0.8))) for v in bernoulli}
+    edges = []
+    for i, node in enumerate(gaussian):
+        earlier = bernoulli + gaussian[:i]
+        parents = [v for v in earlier if draw(st.booleans())]
+        weights = {v: draw(weight) for v in parents}
+        if node == gaussian[-1]:
+            weights[gaussian[0]] = "w"
+        edges += [(v, node) for v in weights]
+        mechanisms[node] = LinearGaussian(draw(st.floats(-1.0, 1.0)), weights,
+                                          draw(st.floats(0.5, 2.0)))
+    latent = [gaussian[1]] if len(mechanisms) >= 7 and draw(st.booleans()) else []
+    dag = CausalDag.from_edges(edges, latent=latent, nodes=mechanisms)
+    predictors = (gaussian[0], *(v for v in bernoulli + gaussian[1:-1] if v not in latent))
+    return ScmSpec(dag, mechanisms), gaussian[-1], predictors
+
+
+class TestCommonRandomNumbers:
+    """Each draw serves every grid point, and its seed names no grid point."""
+
+    @pytest.mark.parametrize("block_values", [scm._BLOCK_VALUES, 1000, 64],
+                             ids=["one-block", "chunked", "one-point-chunks"])
+    @pytest.mark.parametrize("old, new", [
+        ("grid.z_t = 0.1", "grid.z_t = 0.1, -0.4"),
+        ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.5, 0.1"),
+        ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.5"),
+    ], ids=["grid-value-added", "grid-values-reordered", "one-grid-point-alone"])
+    def test_a_cell_is_the_same_whatever_the_other_grid_points(
+        self, monkeypatch, block_values, old, new
+    ):
+        # At 1000 values a block holds all 40 repetitions and a chunk two
+        # grid points; at 64 a block holds 5 to 12 repetitions and a chunk
+        # one grid point.
+        monkeypatch.setattr(scm, "_BLOCK_VALUES", block_values)
+        text = SMALL_CONFIG.replace("n = 5, 20", "n = 5, 10, 50")
+        base = csv_rows_by_cell(run_sweep(parse_sweep_config(text)))
+        other = csv_rows_by_cell(run_sweep(parse_sweep_config(text.replace(old, new))))
+        shared = base.keys() & other.keys()
+        assert {key[-1] for key in shared} == {"5", "10", "50"}
+        assert all(other[key] == base[key] for key in shared)
+
+    def test_a_draw_seed_names_no_grid_point(self, monkeypatch):
+        seeds, rng_from = [], scm._rng_from
+
+        def recorded(entropy):
+            seeds.append(entropy)
+            return rng_from(entropy)
+
+        monkeypatch.setattr(scm, "_rng_from", recorded)
+        text = SMALL_CONFIG.replace("n = 5, 20", "n = 5, 10, 50")
+        run_sweep(parse_sweep_config(text))
+        # (seed, size index, block start, attempt); the two grid points share each.
+        assert {entropy[:3] for entropy in seeds} == {(99, 0, 0), (99, 1, 0), (99, 2, 0)}
+        assert all(len(entropy) == 4 for entropy in seeds)
+
+    @pytest.mark.parametrize("n, tolerance", [(5, 1e-9), (10, 1e-10)])
+    def test_effort_model_solves_match_lstsq_on_a_shared_draw(self, monkeypatch, n, tolerance):
+        text = SMALL_CONFIG.replace("grid.z_e = 0.1, 0.5", "grid.z_e = -0.5, 0.1, 0.5") \
+                           .replace("grid.z_t = 0.1", "grid.z_t = -0.5, 0.5") \
+                           .replace("n = 5, 20", f"n = {n}") \
+                           .replace("repetitions = 40", "repetitions = 200")
+        assert check_shared_draw_against_lstsq(monkeypatch, parse_sweep_config(text),
+                                               tolerance) > 6 * 190
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=small_models(), seed=st.integers(0, 2**32 - 1))
+    def test_random_model_solves_match_lstsq_on_a_shared_draw(self, model, seed):
+        template, outcome, predictors = model
+        for n, tolerance in [(5, 1e-9), (10, 1e-10)]:
+            config = SweepConfig(template=template, grid={"w": (-0.7, 0.4, 1.5)}, fixed={},
+                                 sample_sizes=(n,), repetitions=30, outcome=outcome,
+                                 predictors=predictors, seed=seed)
+            with pytest.MonkeyPatch.context() as patch:
+                check_shared_draw_against_lstsq(patch, config, tolerance)
+
+
 # Every edge weight of the effort model away from the others, so that no
 # term of the law cancels by accident.
 SKEWED = {"b_e": 0.8, "b_s": 1.2, "k_e": -0.6, "k_s": 0.4, "o_e": 0.5, "o_t": -1.1,
@@ -611,7 +763,7 @@ class TestClosedFormLaw:
         # At n = p the coefficient's variance is infinite, but it is
         # symmetric about beta, so the mean stays within a few of its
         # sample standard errors.
-        estimates, failures = _cell_estimates(
+        estimates, failures = cell_estimates(
             self.spec, n, "E", EFFORT_PREDICTORS, 4000, (19, 0, n)
         )
         assert failures < 40
@@ -635,9 +787,11 @@ class TestClosedFormOracle:
         result = run_sweep(config)
         for gi, point in enumerate(config.grid_points()):
             spec = config.template.bind({**config.fixed, **dict(zip(config.grid_names, point))})
-            estimates, failures = _cell_estimates(
+            # Every grid point shares the draws of size index 0, so the cell
+            # run alone has the same estimates as in the sweep.
+            estimates, failures = cell_estimates(
                 spec, 50, config.outcome, config.predictors, config.repetitions,
-                (config.seed, gi, 0),
+                (config.seed, 0),
             )
             assert failures == 0
             spread = float(np.std(estimates, ddof=1))

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import lapack_normal_equations
+from ovbkit import stats
+from ovbkit.fixtures import fixture_text
+from ovbkit.scm import _draw_noise, _lift, _noise_map, _rng_from, parse_sweep_config
 from ovbkit.stats import (
     Dataset,
     Interval,
@@ -355,24 +358,95 @@ class TestStackedLeastSquares:
         design[4, 1:3, 1] = 1.3e154
         outcome = response.copy()
         outcome[5, 2] = np.inf
-        pinv, designs = np.linalg.pinv, []
+        pinv, factor, designs, duals = np.linalg.pinv, stats._cholesky_factor, [], []
 
         def finite_only(a, *args, **kwargs):
             assert np.isfinite(a).all()
             designs.append(len(a))
             return pinv(a, *args, **kwargs)
 
+        def finite_dual(gram, rtol=stats._PIVOT_RTOL):
+            if rtol == stats._DUAL_PIVOT_RTOL:
+                assert np.isfinite(gram).all()
+                duals.append(len(gram))
+            return factor(gram, rtol)
+
         monkeypatch.setattr(np.linalg, "pinv", finite_only)
+        monkeypatch.setattr(stats, "_cholesky_factor", finite_dual)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             expected, expected_solved = _stacked_least_squares(clean, response)
             coef, solved = _stacked_least_squares(design, outcome)
-        assert designs == ([12, 12] if n < 6 else [])
+        assert duals == ([12, 12] if n < 6 else [])
+        assert designs == []  # every finite design here passes the dual pivot rule
         assert not solved[:6].any()
         assert expected_solved.all()
         assert solved[6:].all()
         assert coef[6:].tobytes() == expected[6:].tobytes()
         assert np.isfinite(coef[solved]).all()
+
+
+def effort_designs(points: slice, n: int) -> np.ndarray:
+    """The ``table5.conf`` sweep's first draw of noise rows at sample size
+    ``n``, lifted by each of the given grid points: its regressions' transposed
+    designs and outcomes, shape ``(points x 200, 7, n)``."""
+    config = parse_sweep_config(fixture_text("table5.conf"))
+    specs = [config.template.bind({**config.fixed, **dict(zip(config.grid_names, point))})
+             for point in config.grid_points()[points]]
+    lifts = np.stack([_lift(_noise_map(spec)[0], config.outcome, config.predictors)
+                      for spec in specs])
+    size_index = config.sample_sizes.index(n)
+    noise = _draw_noise(specs[0], (config.repetitions, n),
+                        _rng_from((config.seed, size_index, 0, 0)))
+    return (lifts[:, None] @ noise.transpose(0, 2, 1)[None]).reshape(-1, lifts.shape[1], n)
+
+
+class TestDualSolve:
+    """At n < p, :func:`_stacked_least_squares` solves XXt w = y and returns
+    b = Xt w, and takes ``pinv`` only where XXt fails the dual pivot rule."""
+
+    def test_accepted_dual_solutions_match_lstsq_on_effort_model_designs(self, monkeypatch):
+        values = effort_designs(slice(0, 108, 11), 5)
+        assert values.shape == (2000, 7, 5)
+        pinv, fallbacks = np.linalg.pinv, []
+
+        def recorded(a, *args, **kwargs):
+            fallbacks.append(a.copy())
+            return pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", recorded)
+        coef, solved = _stacked_least_squares(values[:, :-1], values[:, -1])
+        assert solved.all()
+        fallback = {design.tobytes() for design in np.concatenate(fallbacks)}
+        accepted = [k for k in range(len(values)) if values[k, :-1].tobytes() not in fallback]
+        assert 1800 < len(accepted) < 2000  # both paths are taken
+        for k in accepted:
+            expected = np.linalg.lstsq(values[k, :-1].T, values[k, -1], rcond=None)[0]
+            assert np.linalg.norm(coef[k] - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_constant_bernoulli_columns_take_pinv(self, monkeypatch):
+        # Design rows [1, T, B, K, O, S].  In the first design B is 1 and K
+        # is 0 in all 5 rows, so it has rank 4 and its XXt is singular; the
+        # other designs have full row rank.
+        rng = np.random.default_rng(16)
+        design = np.concatenate([np.ones((8, 1, 5)), rng.standard_normal((8, 5, 5))], axis=1)
+        design[:, 2:5] = rng.random((8, 3, 5)) < 0.5
+        design[0, 2], design[0, 3] = 1.0, 0.0
+        response = rng.standard_normal((8, 5))
+        pinv, fallbacks = np.linalg.pinv, []
+
+        def recorded(a, *args, **kwargs):
+            fallbacks.append(a.copy())
+            return pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", recorded)
+        coef, solved = _stacked_least_squares(design, response)
+        assert solved.all()
+        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], design[:1])
+        for k in range(8):
+            expected = np.linalg.lstsq(design[k].T, response[k], rcond=None)[0]
+            tolerance = 1e-10 if k == 0 else 1e-9
+            assert np.linalg.norm(coef[k] - expected) <= tolerance * np.linalg.norm(expected)
 
 
 class TestHpdi:
