@@ -314,8 +314,10 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
 
 
 def cmd_fit(args, manifest: RunManifest) -> int:
-    data = parse_csv_bytes(manifest.add_input(args.csv_file))
-    fit = ols_fit(data, args.outcome, _split(args.predictors))
+    predictors = _split(args.predictors)
+    if not predictors:
+        raise UsageError("--predictors must name at least one column")
+    fit = ols_fit(parse_csv_bytes(manifest.add_input(args.csv_file)), args.outcome, predictors)
     lines = [f"n = {fit.n}", f"intercept = {fit.intercept:.6g}"]
     for name in fit.coefficients:
         lines.append(

@@ -14,7 +14,8 @@ normal draw per node, and node v takes the value M[v]·u (see
 for k_b Bernoulli and k_g Gaussian nodes, draw u row by row and map it
 through M.  A regression on n samples sees the noise only through its Gram
 matrix, so a larger cell draws that matrix directly, exactly in law and at a
-cost that does not grow with n.
+cost that does not grow with n, and a smaller one sums its rows into it
+unless it has fewer rows than regression parameters.
 """
 
 from __future__ import annotations
@@ -426,17 +427,18 @@ def _grid_estimates(
     numbers).  With k_b Bernoulli and k_g normal noise draws per sample, a
     block with n >= 2**k_b + k_g draws each repetition's Gram matrix of the
     noise (see :func:`_draw_grams`); a smaller one draws its n noise rows
-    (see :func:`_draw_noise`).  Attempt a of a block draws the whole block
-    from the seed ``(*entropy, block start, a)``, and a repetition keeps its
-    index in the block as its slot in every draw.  The (grid point,
-    repetition) pairs that :func:`~ovbkit.stats._solve_normal_stack` or
-    :func:`~ovbkit.stats._stacked_least_squares` leaves unsolved are solved
-    again on the next attempt's draw, and stay unsolved after three retries.
-    So a cell depends only on the seed, its sample size and that size's index,
-    the repetitions and its own model.
+    (see :func:`_draw_noise`) and, unless it has fewer rows than regression
+    parameters (see :func:`_row_estimates`), sums them into their Grams.
+    Attempt a of a block draws the whole block from the seed
+    ``(*entropy, block start, a)``, and a repetition keeps its index in the
+    block as its slot in every draw.  The (grid point, repetition) pairs left
+    unsolved are solved again on the next attempt's draw, and stay unsolved
+    after three retries.  So a cell depends only on the seed, its sample size
+    and that size's index, the repetitions and its own model.
     """
     _, p, gaussians = _noise_map(spec)
     threshold = 2**p.size + gaussians
+    parameters = lifts.shape[1] - 1  # the intercept and the predictors
     width = min(n, threshold)
     block = max(1, _BLOCK_VALUES // width)
     estimates = np.zeros((len(lifts), repetitions))
@@ -453,6 +455,9 @@ def _grid_estimates(
                 draw, estimate = _draw_grams(p, gaussians, n, size, rng), _gram_estimates
             else:
                 draw, estimate = _draw_noise(spec, (size, n), rng), _row_estimates
+                if n >= parameters:
+                    # einsum rather than matmul, so that BLAS starts no threads.
+                    draw, estimate = np.einsum("rni,rnj->rij", draw, draw), _gram_estimates
             for first in range(0, len(lifts), chunk):
                 points, reps = np.nonzero(pending[first:first + chunk])
                 if not points.size:
@@ -605,8 +610,8 @@ def _row_estimates(lift: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.
     shape ``(r, n, d)``, and which :func:`_stacked_least_squares` solved.
 
     ``lift`` is one :func:`_lift` for every repetition, or one per
-    repetition.  A repetition's design and outcome are its rows u·liftᵀ; one
-    that overflows is left unsolved.
+    repetition.  A repetition's design and outcome are its rows u·liftᵀ, fewer
+    rows than parameters; one that overflows is left unsolved.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = lift @ noise.transpose(0, 2, 1)  # (r, p + 1, n): the rows' transpose

@@ -107,6 +107,8 @@ def tip_n_confounders(observed: float, smd: float, outcome_effect: float) -> Tip
     Returned as a real number; :attr:`TipResult.whole_confounders` is its
     whole-confounder reading.
     """
+    if observed == 0:
+        raise SensitivityError("the observed effect is zero; there is no sign to flip")
     product = smd * outcome_effect
     if product == 0:
         raise SensitivityError("smd * outcome_effect must be nonzero")

@@ -4,8 +4,9 @@ The regression here is plain ordinary least squares with analytic standard
 errors.  Every normal-equations solve, a single ``fit`` or a sweep's whole
 stack of small regressions, goes through one vectorised Cholesky
 factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
-diagonal entry of XtX counts as rank deficiency.  A sweep regression with
-fewer rows than parameters factors XXt the same way, at a cutoff of 1e-5.
+diagonal entry of XtX counts as rank deficiency.  A sweep solves from its
+rows only a regression with fewer rows than parameters, which factors XXt
+the same way, at a cutoff of 1e-5, for the minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -241,29 +242,19 @@ def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np
 
 
 def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients of a stack of regressions, and which were solved.
+    """Minimum-norm least-squares coefficients of a stack of regressions, and which were solved.
 
     ``design`` holds one transposed design matrix per regression, shape
-    ``(r, p, n)``, and ``response`` the matching ``(r, n)`` outcomes; the
-    coefficients come back as ``(r, p)``.  With ``n >= p`` each system is
-    solved through its normal equations by :func:`_solve_normal_stack`.
-    With ``n < p`` each gets the minimum-norm solution b = Xt w, where
-    XXt w = y is factored by :func:`_cholesky_factor` at the stricter dual
-    cutoff; a system that fails that pivot rule is solved by ``pinv`` with
-    the singular-value cutoff of ``numpy.linalg.lstsq(rcond=None)``.  At
-    ``n < p`` a system also fails if its design's sum of squares overflows.
-    A regression that fails, or has a non-finite coefficient, is unsolved;
-    its coefficients are then meaningless.
-
-    ``einsum`` forms the normal equations without BLAS, so no BLAS thread is
-    started for large ``n``.
+    ``(r, p, n)`` with fewer rows than parameters, ``n < p``, and ``response``
+    the matching ``(r, n)`` outcomes; the coefficients come back as ``(r, p)``.
+    Each gets b = Xt w, where XXt w = y is factored by :func:`_cholesky_factor`
+    at the stricter dual cutoff; a system that fails that pivot rule is solved
+    by ``pinv`` with the singular-value cutoff of ``numpy.linalg.lstsq(rcond=None)``.
+    A regression whose design's sum of squares overflows, or that has a
+    non-finite coefficient, is unsolved; its coefficients are then meaningless.
     """
     _, p, n = design.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        if n >= p:
-            return _solve_normal_stack(
-                np.einsum("rin,rjn->rij", design, design), np.einsum("rin,rn->ri", design, response)
-            )
         # LAPACK's SVD may never return on inf or NaN, so such designs are
         # zeroed before any solve; their XXt then fails every pivot.
         solved = np.isfinite(np.einsum("rin,rin->r", design, design))

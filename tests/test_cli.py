@@ -181,6 +181,12 @@ class TestTip:
         assert "2.04" in out
         assert "at least 3 whole confounders" in out
 
+    def test_solve_n_with_a_zero_observed_effect(self, capsys):
+        code, out, err = run(capsys, "tip", "--observed", "0", "--solve", "n",
+                             "--smd", "0.5", "--effect", "0.4")
+        assert (code, out) == (1, "")
+        assert err == "error: the observed effect is zero; there is no sign to flip\n"
+
     def test_solve_n_at_a_whole_count_needs_one_more(self, capsys):
         # 0.2 / (0.5 * 0.4) is exactly 1: one confounder only cancels the effect.
         argv = ("tip", "--observed", "0.2", "--solve", "n", "--smd", "0.5", "--effect", "0.4")
@@ -721,6 +727,15 @@ class TestFitAndSmd:
         payload = json.loads(out)
         assert payload["sigma"] == pytest.approx(0.0, abs=1e-12)
         assert payload["intercept"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("predictors", ["", ",", " , "])
+    def test_fit_refuses_an_empty_predictor_list(self, capsys, tmp_path, predictors):
+        csv_path = tmp_path / "line.csv"
+        csv_path.write_text("x,y\n0,1\n1,3\n2,5\n")
+        code, out, err = run(capsys, "fit", str(csv_path), "--outcome", "y",
+                             "--predictors", predictors)
+        assert (code, out) == (1, "")
+        assert err == "error: --predictors must name at least one column\n"
 
     def test_fit_rank_error(self, capsys, tmp_path):
         csv_path = tmp_path / "collinear.csv"

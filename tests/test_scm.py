@@ -41,9 +41,8 @@ from ovbkit.scm import (
     _lift,
     _noise_map,
     _rng_from,
-    _row_estimates,
 )
-from ovbkit.stats import StatsError, _solve_normal_stack
+from ovbkit.stats import StatsError
 
 SMALL_CONFIG = """
 param.b_e = 0.3
@@ -580,6 +579,27 @@ class TestGramDraws:
         assert sizes[0] == (12, 2**17 // 12)
         assert (12, 11000 - 2**17 // 12) in sizes
 
+    def test_only_cells_below_p_regress_on_rows(self, monkeypatch):
+        # The effort regression has p = 6 parameters: n = 5 is solved from
+        # its rows, and every n from 6 on from a Gram, summed from the rows
+        # below n = 12 and drawn from 12 on.  A Gram's intercept entry is n.
+        row_sizes, gram_sizes = set(), set()
+        stacked, gram_estimates = scm._stacked_least_squares, scm._gram_estimates
+
+        def row_solve(design, response):
+            row_sizes.add(design.shape[-1])
+            return stacked(design, response)
+
+        def gram_solve(lift, grams):
+            gram_sizes.update(grams[:, 0, 0].tolist())
+            return gram_estimates(lift, grams)
+
+        monkeypatch.setattr(scm, "_stacked_least_squares", row_solve)
+        monkeypatch.setattr(scm, "_gram_estimates", gram_solve)
+        run_sweep(parse_sweep_config(SMALL_CONFIG.replace("n = 5, 20", "n = 5, 6, 10, 11, 12")))
+        assert row_sizes == {5}
+        assert gram_sizes == {6.0, 10.0, 11.0, 12.0}
+
 
 def csv_rows_by_cell(result) -> dict[tuple[str, ...], str]:
     """Each CSV row of a sweep, keyed by its grid values and n."""
@@ -587,28 +607,44 @@ def csv_rows_by_cell(result) -> dict[tuple[str, ...], str]:
     return {tuple(line.split(",")[:key_width]): line for line in result.to_csv().splitlines()[1:]}
 
 
-def recorded_row_solves(patch, config) -> list[tuple[np.ndarray, ...]]:
-    """Run ``config``; the lifts, noise rows, coefficients and solved flags of
-    every batched row solve, in call order."""
-    calls = []
-    row_estimates = scm._row_estimates
+def recorded_solves(patch, config) -> list[tuple[np.ndarray, ...]]:
+    """Run ``config``, which must draw noise rows; the lifts, noise rows,
+    coefficients and solved flags of every batched solve, in call order.  A
+    Gram solve's rows are the drawn rows whose Gram it was given."""
+    calls, draws = [], []
+    draw_noise, row_estimates, gram_estimates = (
+        scm._draw_noise, scm._row_estimates, scm._gram_estimates
+    )
 
-    def recorded(lift, noise):
+    def drawn(spec, shape, rng):
+        draws.append(draw_noise(spec, shape, rng))
+        return draws[-1]
+
+    def row_solve(lift, noise):
         coef, solved = row_estimates(lift, noise)
         calls.append((lift, noise, coef, solved))
         return coef, solved
 
-    patch.setattr(scm, "_row_estimates", recorded)
+    def gram_solve(lift, grams):
+        coef, solved = gram_estimates(lift, grams)
+        noise = draws[-1]
+        rows_of = {g.tobytes(): u for g, u in zip(np.einsum("rni,rnj->rij", noise, noise), noise)}
+        calls.append((lift, np.stack([rows_of[g.tobytes()] for g in grams]), coef, solved))
+        return coef, solved
+
+    patch.setattr(scm, "_draw_noise", drawn)
+    patch.setattr(scm, "_row_estimates", row_solve)
+    patch.setattr(scm, "_gram_estimates", gram_solve)
     run_sweep(config)
     return calls
 
 
 def check_shared_draw_against_lstsq(patch, config, tolerance) -> int:
-    """The sweep's first row solve holds every (grid point, repetition) pair on
-    one shared draw, and every solved pair of every row solve has the tracked
+    """The sweep's first solve holds every (grid point, repetition) pair on
+    one shared draw, and every solved pair of every solve has the tracked
     coefficient of per-design ``lstsq`` on lift·U, to ``tolerance`` relative to
     the norm of lstsq's coefficients.  Returns the number of pairs checked."""
-    calls = recorded_row_solves(patch, config)
+    calls = recorded_solves(patch, config)
     lift, noise, _, _ = calls[0]
     points, repetitions = len(config.grid_points()), config.repetitions
     assert len(noise) == points * repetitions
@@ -742,7 +778,7 @@ class TestClosedFormLaw:
         rows, _, _ = _noise_map(self.spec)
         lift = _lift(rows, "E", EFFORT_PREDICTORS)
         noise = _draw_noise(self.spec, (LAW_DRAWS, n), _rng_from((13, n)))
-        coef, solved = _row_estimates(lift, noise)
+        coef, solved = _gram_estimates(lift, np.einsum("rni,rnj->rij", noise, noise))
         design = noise[solved] @ lift[:self.p].T
         gram = np.einsum("rni,rnj->rij", design, design)
         z = treatment_z_scores(gram, coef[solved], *self.law)

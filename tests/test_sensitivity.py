@@ -48,6 +48,15 @@ class TestTippingSolvers:
         assert tip_smd(0.0, 0.5).value == 0.0
         assert tip_outcome_effect(0.0, -2.0).value == 0.0
 
+    @pytest.mark.parametrize("observed", [0.0, -0.0])
+    def test_zero_observed_effect_has_no_count(self, observed):
+        # Confounding of either sign would be said to push the effect away
+        # from zero; the true reason is that there is no sign to flip.
+        for smd in (0.5, -0.5):
+            with pytest.raises(SensitivityError, match="^the observed effect is zero; "
+                                                      "there is no sign to flip$"):
+                tip_n_confounders(observed, smd, 0.4)
+
     def test_hand_arithmetic(self):
         assert tip_smd(0.10, 0.50).value == pytest.approx(0.20)
         assert tip_outcome_effect(0.10, 0.20).value == pytest.approx(0.50)

@@ -15,6 +15,7 @@ from ovbkit.stats import (
     Interval,
     RankDeficiencyError,
     StatsError,
+    _solve_normal_stack,
     _stacked_least_squares,
     hpdi,
     ols_fit,
@@ -285,13 +286,24 @@ class TestSolveNormalEquations:
         assert min(outcomes.values()) > 2_000
 
 
+def normal_moments(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """XtX and Xty of a stack of transposed designs ``(r, p, n)`` and outcomes
+    ``(r, n)``, letting them overflow as a sweep's moments from a Gram do."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("rin,rjn->rij", design, design), np.einsum("rin,rn->ri", design, response)
+
+
 class TestStackedLeastSquares:
+    """The sweep's stacked solves: :func:`_solve_normal_stack` on normal
+    equations at n >= p, and the minimum-norm :func:`_stacked_least_squares`
+    at n < p."""
+
     def test_same_decision_as_solve_normal_equations(self):
         rng = np.random.default_rng(11)
         outcomes = {True: 0, False: 0}
         for (n, p), design in _near_collinear_stacks(rng).items():
             response = rng.standard_normal((len(design), n))
-            coef, solved = _stacked_least_squares(design, response)
+            coef, solved = _solve_normal_stack(*normal_moments(design, response))
             for k in range(len(design)):
                 expected = lapack_normal_equations(design[k].T, response[k]) is not None
                 assert solved[k] == expected, (n, p, k)
@@ -307,7 +319,7 @@ class TestStackedLeastSquares:
                 [np.ones((40, 1, n)), rng.standard_normal((40, p - 1, n))], axis=1
             )
             response = rng.standard_normal((40, n)) + design[:, 1]
-            coef, solved = _stacked_least_squares(design, response)
+            coef, solved = _solve_normal_stack(*normal_moments(design, response))
             assert solved.all()
             for k in range(40):
                 expected = lapack_normal_equations(design[k].T, response[k])
@@ -371,12 +383,17 @@ class TestStackedLeastSquares:
                 duals.append(len(gram))
             return factor(gram, rtol)
 
+        def solve(design, response):
+            if n < 6:
+                return _stacked_least_squares(design, response)
+            return _solve_normal_stack(*normal_moments(design, response))
+
         monkeypatch.setattr(np.linalg, "pinv", finite_only)
         monkeypatch.setattr(stats, "_cholesky_factor", finite_dual)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            expected, expected_solved = _stacked_least_squares(clean, response)
-            coef, solved = _stacked_least_squares(design, outcome)
+            expected, expected_solved = solve(clean, response)
+            coef, solved = solve(design, outcome)
         assert duals == ([12, 12] if n < 6 else [])
         assert designs == []  # every finite design here passes the dual pivot rule
         assert not solved[:6].any()
