@@ -11,6 +11,10 @@ Every report carries a run manifest (command, sha256 of each input file,
 seed, version, timestamp): embedded under ``"manifest"`` with ``--json``,
 written next to the output file for ``simulate -o``, and printed to stderr
 otherwise.
+
+Only ``fit``, ``smd``, ``evalue --fit`` and ``simulate`` do array math, so
+only their handlers import the numpy layers ``stats`` and ``scm``; every other
+command runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .adjustment import (
     minimal_adjustment_sets,
 )
 from .dag import parse_dag
-from .scm import parse_sweep_config, run_sweep
 from .sensitivity import (
     EValueInput,
     evalue_curve,
@@ -44,7 +47,6 @@ from .sensitivity import (
     tip_outcome_effect,
     tip_smd,
 )
-from .stats import ols_fit, parse_csv_bytes, parse_value_groups, scaled_mean_diff
 
 _WORKFLOW = (
     "study-planning workflow: (1) survey variables, (2) draw the causal DAG, "
@@ -243,6 +245,8 @@ def cmd_evalue(args, manifest: RunManifest) -> int:
             raise UsageError("--fit conflicts with --estimate/--sigma/--se")
         if args.outcome is None or args.treatment is None:
             raise UsageError("--fit requires --outcome and --treatment")
+        from .stats import ols_fit, parse_csv_bytes
+
         data = parse_csv_bytes(manifest.add_input(args.fit))
         covariates = _split(args.covariates)
         fit = ols_fit(data, args.outcome, [args.treatment, *covariates])
@@ -290,6 +294,8 @@ def cmd_evalue(args, manifest: RunManifest) -> int:
 def cmd_simulate(args, manifest: RunManifest) -> int:
     if args.output is not None and args.json:
         raise UsageError("--json conflicts with --output")
+    from .scm import parse_sweep_config, run_sweep
+
     config = parse_sweep_config(manifest.add_input(args.config).decode("utf-8-sig"))
     manifest.seed = config.seed
     if args.output is None:
@@ -317,6 +323,8 @@ def cmd_fit(args, manifest: RunManifest) -> int:
     predictors = _split(args.predictors)
     if not predictors:
         raise UsageError("--predictors must name at least one column")
+    from .stats import ols_fit, parse_csv_bytes
+
     fit = ols_fit(parse_csv_bytes(manifest.add_input(args.csv_file)), args.outcome, predictors)
     lines = [f"n = {fit.n}", f"intercept = {fit.intercept:.6g}"]
     for name in fit.coefficients:
@@ -329,6 +337,8 @@ def cmd_fit(args, manifest: RunManifest) -> int:
 
 
 def cmd_smd(args, manifest: RunManifest) -> int:
+    from .stats import parse_value_groups, scaled_mean_diff
+
     data = manifest.add_input(args.csv_file)
     values, labels = parse_value_groups(data, args.value, args.group)
     diff = scaled_mean_diff(values, labels, args.treat, args.ref)

@@ -109,14 +109,24 @@ def tip_n_confounders(observed: float, smd: float, outcome_effect: float) -> Tip
     """
     if observed == 0:
         raise SensitivityError("the observed effect is zero; there is no sign to flip")
-    product = smd * outcome_effect
-    if product == 0:
+    if smd == 0 or outcome_effect == 0:
         raise SensitivityError("smd * outcome_effect must be nonzero")
-    count = observed / product
-    if count <= 0:
+    # observed / (smd * outcome_effect) on the mantissas, then the exponents:
+    # the same bits wherever the product and the count are normal floats, and
+    # out of range only where the count itself is (the product alone may
+    # underflow to 0 or overflow while the count is finite).
+    (m_obs, e_obs), (m_smd, e_smd), (m_eff, e_eff) = map(
+        math.frexp, (observed, smd, outcome_effect)
+    )
+    scaled = m_obs / (m_smd * m_eff)
+    if scaled < 0:
         raise SensitivityError(
             "confounding of this sign pushes the effect away from zero; no count can tip it"
         )
+    try:
+        count = math.ldexp(scaled, e_obs - e_smd - e_eff)
+    except OverflowError:
+        count = math.inf  # TipResult refuses it as not finite
     return TipResult("n_confounders_needed", count)
 
 

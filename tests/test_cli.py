@@ -187,6 +187,12 @@ class TestTip:
         assert (code, out) == (1, "")
         assert err == "error: the observed effect is zero; there is no sign to flip\n"
 
+    def test_solve_n_with_an_underflowing_product(self, capsys):
+        # Neither factor is zero; the count, 3e399, is beyond the largest float.
+        code, out, err = run(capsys, "tip", "--observed", "0.3", "--solve", "n",
+                             "--smd", "1e-200", "--effect", "1e-200")
+        assert (code, out, err) == (1, "", "error: tipping result is not finite\n")
+
     def test_solve_n_at_a_whole_count_needs_one_more(self, capsys):
         # 0.2 / (0.5 * 0.4) is exactly 1: one confounder only cancels the effect.
         argv = ("tip", "--observed", "0.2", "--solve", "n", "--smd", "0.5", "--effect", "0.4")
@@ -418,7 +424,7 @@ class TestSimulate:
         def refuse(config):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr("ovbkit.cli.run_sweep", refuse)
+        monkeypatch.setattr("ovbkit.scm.run_sweep", refuse)
         config = tmp_path / "sweep.conf"
         config.write_text(SMALL_CONFIG)
         out_csv = tmp_path / "sweep.csv"
@@ -436,7 +442,7 @@ class TestSimulate:
         def refuse(config):
             raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr("ovbkit.cli.run_sweep", refuse)
+        monkeypatch.setattr("ovbkit.scm.run_sweep", refuse)
         config = tmp_path / "sweep.conf"
         config.write_text(SMALL_CONFIG)
         if blocked == "directory":
@@ -464,7 +470,7 @@ class TestSimulate:
             def exhausted(config):
                 raise MemoryError()
 
-            monkeypatch.setattr("ovbkit.cli.run_sweep", exhausted)
+            monkeypatch.setattr("ovbkit.scm.run_sweep", exhausted)
         code, out, err = run(capsys, "simulate", str(config), "-o", str(out_csv))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -517,7 +523,7 @@ class TestSimulate:
         def exhausted(config):
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
 
-        monkeypatch.setattr("ovbkit.cli.run_sweep", exhausted)
+        monkeypatch.setattr("ovbkit.scm.run_sweep", exhausted)
         config = tmp_path / "sweep.conf"
         config.write_text(SMALL_CONFIG)
         code, out, err = run(capsys, "simulate", str(config))

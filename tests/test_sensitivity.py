@@ -57,6 +57,25 @@ class TestTippingSolvers:
                                                       "there is no sign to flip$"):
                 tip_n_confounders(observed, smd, 0.4)
 
+    def test_count_is_out_of_range_only_when_the_count_is(self):
+        # smd * effect underflows to 0 although neither factor is 0; the count,
+        # 3e399, is beyond the largest float.
+        with pytest.raises(SensitivityError, match="^tipping result is not finite$"):
+            tip_n_confounders(0.3, 1e-200, 1e-200)
+        # smd * effect overflows while the count is an ordinary float.
+        assert tip_n_confounders(1e-300, 1e200, 1e200).value == 0.0
+        assert tip_n_confounders(1e300, 1e-300, 1e300).value == 1e300
+        # The sign test survives an underflowing count.
+        with pytest.raises(SensitivityError, match="^confounding of this sign"):
+            tip_n_confounders(-1e-300, 1e200, 1e200)
+
+    @settings(max_examples=500)
+    @given(nonzero, nonzero, nonzero)
+    def test_count_has_the_bits_of_one_division_by_the_product(self, observed, smd, effect):
+        count = observed / (smd * effect)
+        if count > 0:
+            assert tip_n_confounders(observed, smd, effect).value == count
+
     def test_hand_arithmetic(self):
         assert tip_smd(0.10, 0.50).value == pytest.approx(0.20)
         assert tip_outcome_effect(0.10, 0.20).value == pytest.approx(0.50)
