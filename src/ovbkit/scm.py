@@ -10,12 +10,11 @@ draw serves every grid point: a cell's result depends on no other cell.
 
 Every model here is linear in its exogenous noise: one Bernoulli or standard
 normal draw per node, and node v takes the value M[v]·u (see
-:func:`_noise_map`).  :func:`sample` and a sweep cell with n < 2**k_b + k_g,
-for k_b Bernoulli and k_g Gaussian nodes, draw u row by row and map it
-through M.  A regression on n samples sees the noise only through its Gram
-matrix, so a larger cell draws that matrix directly, exactly in law and at a
-cost that does not grow with n, and a smaller one sums its rows into it
-unless it has fewer rows than regression parameters.
+:func:`_noise_map`).  :func:`sample` and a sweep cell with fewer samples than
+regression parameters draw u row by row and map it through M.  A regression
+on n >= p samples sees the noise only through its Gram matrix, so every other
+sweep cell draws that matrix directly, exactly in law and at a cost that
+does not grow with n.
 """
 
 from __future__ import annotations
@@ -58,8 +57,9 @@ __all__ = [
 _MAX_DRAW_ATTEMPTS = 4  # one draw plus up to three redraws per repetition
 # A sweep block holds as many repetitions as fit in this many values per node
 # (at least one), which bounds a draw's memory at any n.  A repetition counts
-# min(n, 2**k_b + k_g) values: n sampled rows, or the 2**k_b pattern rows and
-# k_g Bartlett rows of its Gram draw.  The block size decides which
+# min(n, 2**k_b + k_g) values, a measure of its draw's size rather than an
+# exact count: below p parameters it draws n noise rows, else a Gram from the
+# 2**k_b pattern rows and k_g Bartlett rows.  The block size decides which
 # repetitions share a random stream, so changing it changes every simulate CSV.
 # Grid points are solved on a draw in chunks of at least one, with grid points
 # x repetitions in the block x values per repetition within the same bound.
@@ -424,11 +424,11 @@ def _grid_estimates(
     ``lifts`` stacks each grid point's :func:`_lift`; ``spec``, any grid
     point's model, gives the noise layout they share.  Repetitions are drawn
     a block at a time, and each draw serves every grid point (common random
-    numbers).  With k_b Bernoulli and k_g normal noise draws per sample, a
-    block with n >= 2**k_b + k_g draws each repetition's Gram matrix of the
-    noise (see :func:`_draw_grams`); a smaller one draws its n noise rows
-    (see :func:`_draw_noise`) and, unless it has fewer rows than regression
-    parameters (see :func:`_row_estimates`), sums them into their Grams.
+    numbers).  A block with n at least the number p of regression
+    parameters draws each repetition's Gram matrix of the noise (see
+    :func:`_draw_grams`); one with n < p draws its n noise rows (see
+    :func:`_draw_noise`) for the minimum-norm solve (see
+    :func:`_row_estimates`).
     Attempt a of a block draws the whole block from the seed
     ``(*entropy, block start, a)``, and a repetition keeps its index in the
     block as its slot in every draw.  The (grid point, repetition) pairs left
@@ -437,9 +437,8 @@ def _grid_estimates(
     and that size's index, the repetitions and its own model.
     """
     _, p, gaussians = _noise_map(spec)
-    threshold = 2**p.size + gaussians
     parameters = lifts.shape[1] - 1  # the intercept and the predictors
-    width = min(n, threshold)
+    width = min(n, 2**p.size + gaussians)
     block = max(1, _BLOCK_VALUES // width)
     estimates = np.zeros((len(lifts), repetitions))
     solved = np.zeros((len(lifts), repetitions), dtype=bool)
@@ -451,13 +450,10 @@ def _grid_estimates(
             if not pending.any():
                 break
             rng = _rng_from((*entropy, start, attempt))
-            if n >= threshold:
-                draw, estimate = _draw_grams(p, gaussians, n, size, rng), _gram_estimates
-            else:
+            if n < parameters:
                 draw, estimate = _draw_noise(spec, (size, n), rng), _row_estimates
-                if n >= parameters:
-                    # einsum rather than matmul, so that BLAS starts no threads.
-                    draw, estimate = np.einsum("rni,rnj->rij", draw, draw), _gram_estimates
+            else:
+                draw, estimate = _draw_grams(p, gaussians, n, size, rng), _gram_estimates
             for first in range(0, len(lifts), chunk):
                 points, reps = np.nonzero(pending[first:first + chunk])
                 if not points.size:
@@ -552,15 +548,16 @@ def _draw_grams(
        over the m non-empty patterns: W ~ Wishart(n - m, I), drawn as AAᵀ
        by Bartlett's decomposition, with A lower triangular,
        A_ii² ~ chi²(n - m - i) for i = 0, 1, ... and standard normals below
-       the diagonal, taken column by column;
+       the diagonal, taken column by column.  When n - m < k_g, W is
+       singular, and the same factor with its columns i >= n - m set to zero
+       draws it (Uhlig, *On singular Wishart and singular multivariate beta
+       distributions*, Ann. Stat. 22, 1994);
     4. G from the pattern counts and sums: its Bernoulli block is
        sum over c of n_c·[1, c][1, c]ᵀ, its cross block the sum of
        [1, c]·s_cᵀ, and its normal block W plus the sum of s_c·s_cᵀ / n_c
        over the non-empty patterns.
 
-    Bartlett's decomposition needs n - m >= k_g, which n >= 2**k_b + k_g
-    guarantees.  Returns the stack of Grams, shape ``(r, d, d)`` with
-    d = 1 + k_b + k_g.
+    Returns the stack of Grams, shape ``(r, d, d)`` with d = 1 + k_b + k_g.
     """
     k_b, c = p.size, 2**p.size
     lead = np.hstack([np.ones((c, 1)), list(itertools.product((0.0, 1.0), repeat=k_b))])
@@ -575,9 +572,11 @@ def _draw_grams(
     bartlett = scatter[:, c:]  # Aᵀ
     diagonal = np.arange(gaussians)
     dof = n - filled.sum(axis=1)
-    bartlett[:, diagonal, diagonal] = np.sqrt(rng.chisquare(dof[:, None] - diagonal))
+    chi2 = rng.chisquare(np.maximum(dof[:, None] - diagonal, 1))  # k_g draws for every Gram
+    bartlett[:, diagonal, diagonal] = np.sqrt(chi2)
     above = np.triu_indices(gaussians, 1)
     bartlett[:, above[0], above[1]] = rng.standard_normal((r, above[0].size))
+    bartlett[diagonal >= dof[:, None]] = 0.0  # A's columns i >= n - m
 
     # Stacks of small products: each matmul is one BLAS call per Gram, too
     # small for BLAS to start a thread.

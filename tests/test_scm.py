@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ from ovbkit.scm import (
     _rng_from,
 )
 from ovbkit.stats import StatsError
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SMALL_CONFIG = """
 param.b_e = 0.3
@@ -217,6 +220,18 @@ class TestSampling:
             sample(spec, 0, seed=1)
         with pytest.raises(ScmError):
             sample(spec, 10, seed=-4)
+
+    def test_the_smallest_request_gives_one_finite_row(self):
+        data = sample(direct_effect_scm(), 1, seed=0)
+        assert data.values.shape == (1, 2)
+        assert np.isfinite(data.values).all()
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_a_certain_bernoulli_node_takes_one_value(self, p):
+        dag = CausalDag.from_edges([("C", "Y")])
+        spec = ScmSpec(dag, {"C": BernoulliExogenous(p),
+                             "Y": LinearGaussian(0.0, {"C": 1.0}, 1.0)})
+        assert (sample(spec, 1000, seed=2).column("C") == p).all()
 
     def test_overflowing_values_are_refused(self):
         # Y's row of the noise map overflows to inf, and the Bernoulli
@@ -415,6 +430,37 @@ class TestSweep:
         assert 0 < cell.failures <= 40
         assert not cell.failed
 
+    @pytest.mark.parametrize("n", [50, 10])
+    def test_a_cell_spanning_blocks_has_the_closed_form_mean(self, monkeypatch, n):
+        # With 15,000 values per block, the 2,000 repetitions are drawn in
+        # two blocks of unequal size (1,250 and 750 at n = 50, 1,500 and 500
+        # at n = 10), and every repetition's estimate must land in its own
+        # slot whichever block drew it.  At (t_e, z_e, z_t) = (0.3, 0.5, 0.5)
+        # the closed form is 0.5.
+        starts, rng_from = set(), scm._rng_from
+
+        def recorded(entropy):
+            starts.add(entropy[2])
+            return rng_from(entropy)
+
+        monkeypatch.setattr(scm, "_BLOCK_VALUES", 15_000)
+        monkeypatch.setattr(scm, "_rng_from", recorded)
+        text = (GOLDEN / "small.conf").read_text() \
+            .replace("grid.z_e = -0.5, 0.5", "grid.z_e = 0.5") \
+            .replace("n = 5, 20", f"n = {n}") \
+            .replace("repetitions = 30", "repetitions = 2000")
+        config = parse_sweep_config(text)
+        (cell,) = run_sweep(config).cells
+        spec = config.template.bind({**config.fixed, "t_e": 0.3, "z_e": 0.5, "z_t": 0.5})
+        estimates, failures = cell_estimates(
+            spec, n, config.outcome, config.predictors, config.repetitions, (config.seed, 0)
+        )
+        assert len(starts) == 2
+        assert failures == cell.failures < 20
+        assert cell.mean == float(np.mean(estimates))
+        error = float(np.std(estimates, ddof=1)) / math.sqrt(estimates.size)
+        assert abs(cell.mean - expected_treatment_estimate(0.3, 0.5, 0.5)) <= 4 * error
+
     def test_config_validation(self):
         template = team_effort_template()
         values = dict.fromkeys(template.parameters, 0.1)
@@ -506,7 +552,8 @@ class TestGramDraws:
                     data.column(node), columns[node], rtol=1e-12, atol=1e-12
                 )
 
-    @pytest.mark.parametrize("n, reps", [(12, 4000), (50, 4000), (20_000, 400)])
+    @pytest.mark.parametrize("n, reps", [(6, 4000), (7, 4000), (10, 4000), (11, 4000),
+                                         (12, 4000), (50, 4000), (20_000, 400)])
     def test_tracked_coefficient_has_the_row_samplers_law(self, n, reps):
         rows, p, gaussians = _noise_map(effort_spec())
         lift = _lift(rows, "E", EFFORT_PREDICTORS)
@@ -522,7 +569,7 @@ class TestGramDraws:
         a, b = drawn[drawn_ok], oracle[oracle_ok]
         assert ks_statistic(a, b) < ks_critical(a.size, b.size, 0.001)
 
-    @pytest.mark.parametrize("n", [12, 50, 10**9])
+    @pytest.mark.parametrize("n", [1, 3, 6, 12, 50, 10**9])
     def test_mean_gram_is_n_times_the_noise_moment(self, n):
         p, gaussians, reps = np.array([0.2, 0.5, 0.9]), 3, 20_000
         grams = _draw_grams(p, gaussians, n, reps, _rng_from((5, n)))
@@ -537,32 +584,39 @@ class TestGramDraws:
         assert (np.abs(mean - n * moment) <= 5 * error).all()
 
     def test_failure_rate_at_the_threshold_is_the_exact_one(self):
-        # At n = 12 a draw is rank deficient exactly when the Bernoulli
-        # patterns [1, B, K, O] it holds span fewer than 4 dimensions.  The
-        # chance that the occupied patterns are exactly the set S is found
-        # by inclusion-exclusion over the subsets of S.
-        n, patterns = 12, np.array(list(itertools.product((0, 1), repeat=3)))
+        # At every n >= p = 6, a draw is rank deficient exactly when the
+        # Bernoulli patterns [1, B, K, O] it holds span fewer than 4
+        # dimensions: S and T add their two normal dimensions on any 6 rows.
+        # The chance that the occupied patterns are exactly the set S is
+        # found by inclusion-exclusion over the subsets of S.  At
+        # n = 12 = 2**k_b + k_g it is 0.0029875.
+        patterns = np.array(list(itertools.product((0, 1), repeat=3)))
         lead = np.hstack([np.ones((8, 1)), patterns])
-        exact = 0.0
-        for size in range(1, 9):
-            for occupied in itertools.combinations(range(8), size):
-                if np.linalg.matrix_rank(lead[list(occupied)]) == 4:
-                    continue
-                exact += sum((-1) ** (size - k) * math.comb(size, k) * (k / 8) ** n
-                             for k in range(size + 1))
-        assert exact == pytest.approx(0.0029875, abs=1e-7)
+        deficient = [
+            occupied
+            for size in range(1, 9)
+            for occupied in itertools.combinations(range(8), size)
+            if np.linalg.matrix_rank(lead[list(occupied)]) < 4
+        ]
         rows, p, gaussians = _noise_map(effort_spec())
         lift = _lift(rows, "E", EFFORT_PREDICTORS)
-        reps, failed = 0, 0
-        for seed in range(10):
-            grams = _draw_grams(p, gaussians, n, 20_000, _rng_from((7, seed)))
-            _, solved = _gram_estimates(lift, grams)
-            reps, failed = reps + solved.size, failed + int((~solved).sum())
-        assert abs(failed / reps - exact) <= 4 * math.sqrt(exact * (1 - exact) / reps)
+        for n in (6, 10, 12):
+            exact = sum((-1) ** (len(occupied) - k) * math.comb(len(occupied), k) * (k / 8) ** n
+                        for occupied in deficient for k in range(len(occupied) + 1))
+            if n == 12:
+                assert exact == pytest.approx(0.0029875, abs=1e-7)
+            reps, failed = 0, 0
+            for seed in range(10):
+                grams = _draw_grams(p, gaussians, n, 20_000, _rng_from((7, seed)))
+                _, solved = _gram_estimates(lift, grams)
+                reps, failed = reps + solved.size, failed + int((~solved).sum())
+            assert abs(failed / reps - exact) <= 4 * math.sqrt(exact * (1 - exact) / reps)
 
     def test_cells_from_2_to_the_k_b_plus_k_g_draw_grams(self, monkeypatch):
         # The effort model has 3 Bernoulli and 4 normal draws per sample, so
-        # Grams are drawn from n = 12 on, in blocks of 2**17 // 12 repetitions.
+        # from n = 2**3 + 4 = 12 on a block holds 2**17 // 12 repetitions.
+        # Below that, n = 11 >= p = 6 draws its Gram too, in blocks of
+        # 2**17 // 11 > 11000 repetitions: one block.
         sizes = []
 
         def recorded(p, gaussians, n, r, rng):
@@ -575,31 +629,31 @@ class TestGramDraws:
                            .replace("n = 5, 20", "n = 11, 12") \
                            .replace("repetitions = 40", "repetitions = 11000")
         run_sweep(parse_sweep_config(text))
-        assert {n for n, _ in sizes} == {12}
-        assert sizes[0] == (12, 2**17 // 12)
-        assert (12, 11000 - 2**17 // 12) in sizes
+        assert {n for n, _ in sizes} == {11, 12}
+        assert sizes[0] == (11, 11000)
+        twelve = [r for n, r in sizes if n == 12]
+        assert twelve[0] == 2**17 // 12
+        assert 11000 - 2**17 // 12 in twelve
 
     def test_only_cells_below_p_regress_on_rows(self, monkeypatch):
         # The effort regression has p = 6 parameters: n = 5 is solved from
-        # its rows, and every n from 6 on from a Gram, summed from the rows
-        # below n = 12 and drawn from 12 on.  A Gram's intercept entry is n.
+        # its rows, and every n from 6 on from a drawn Gram.
         row_sizes, gram_sizes = set(), set()
-        stacked, gram_estimates = scm._stacked_least_squares, scm._gram_estimates
+        stacked, draw_grams = scm._stacked_least_squares, scm._draw_grams
 
         def row_solve(design, response):
             row_sizes.add(design.shape[-1])
             return stacked(design, response)
 
-        def gram_solve(lift, grams):
-            gram_sizes.update(grams[:, 0, 0].tolist())
-            return gram_estimates(lift, grams)
+        def recorded(p, gaussians, n, r, rng):
+            gram_sizes.add(n)
+            return draw_grams(p, gaussians, n, r, rng)
 
         monkeypatch.setattr(scm, "_stacked_least_squares", row_solve)
-        monkeypatch.setattr(scm, "_gram_estimates", gram_solve)
+        monkeypatch.setattr(scm, "_draw_grams", recorded)
         run_sweep(parse_sweep_config(SMALL_CONFIG.replace("n = 5, 20", "n = 5, 6, 10, 11, 12")))
         assert row_sizes == {5}
-        assert gram_sizes == {6.0, 10.0, 11.0, 12.0}
-
+        assert gram_sizes == {6, 10, 11, 12}
 
 def csv_rows_by_cell(result) -> dict[tuple[str, ...], str]:
     """Each CSV row of a sweep, keyed by its grid values and n."""
@@ -607,34 +661,21 @@ def csv_rows_by_cell(result) -> dict[tuple[str, ...], str]:
     return {tuple(line.split(",")[:key_width]): line for line in result.to_csv().splitlines()[1:]}
 
 
-def recorded_solves(patch, config) -> list[tuple[np.ndarray, ...]]:
-    """Run ``config``, which must draw noise rows; the lifts, noise rows,
-    coefficients and solved flags of every batched solve, in call order.  A
-    Gram solve's rows are the drawn rows whose Gram it was given."""
-    calls, draws = [], []
-    draw_noise, row_estimates, gram_estimates = (
-        scm._draw_noise, scm._row_estimates, scm._gram_estimates
-    )
+def recorded_solves(patch, config) -> list[tuple]:
+    """Run ``config``; the kind (``"rows"`` or ``"gram"``), lifts, draws (noise
+    rows or Grams), coefficients and solved flags of every batched solve, in
+    call order."""
+    calls = []
 
-    def drawn(spec, shape, rng):
-        draws.append(draw_noise(spec, shape, rng))
-        return draws[-1]
+    def recorder(kind, estimate):
+        def solve(lift, draw):
+            coef, solved = estimate(lift, draw)
+            calls.append((kind, lift, draw, coef, solved))
+            return coef, solved
+        return solve
 
-    def row_solve(lift, noise):
-        coef, solved = row_estimates(lift, noise)
-        calls.append((lift, noise, coef, solved))
-        return coef, solved
-
-    def gram_solve(lift, grams):
-        coef, solved = gram_estimates(lift, grams)
-        noise = draws[-1]
-        rows_of = {g.tobytes(): u for g, u in zip(np.einsum("rni,rnj->rij", noise, noise), noise)}
-        calls.append((lift, np.stack([rows_of[g.tobytes()] for g in grams]), coef, solved))
-        return coef, solved
-
-    patch.setattr(scm, "_draw_noise", drawn)
-    patch.setattr(scm, "_row_estimates", row_solve)
-    patch.setattr(scm, "_gram_estimates", gram_solve)
+    patch.setattr(scm, "_row_estimates", recorder("rows", scm._row_estimates))
+    patch.setattr(scm, "_gram_estimates", recorder("gram", scm._gram_estimates))
     run_sweep(config)
     return calls
 
@@ -642,19 +683,25 @@ def recorded_solves(patch, config) -> list[tuple[np.ndarray, ...]]:
 def check_shared_draw_against_lstsq(patch, config, tolerance) -> int:
     """The sweep's first solve holds every (grid point, repetition) pair on
     one shared draw, and every solved pair of every solve has the tracked
-    coefficient of per-design ``lstsq`` on lift·U, to ``tolerance`` relative to
-    the norm of lstsq's coefficients.  Returns the number of pairs checked."""
+    coefficient that LAPACK gives, to ``tolerance`` relative to the norm of
+    its coefficients: per-design ``lstsq`` on the rows U·liftᵀ of a row
+    draw, or ``solve`` of the normal equations lift·G·liftᵀ of a Gram draw
+    G.  Returns the number of pairs checked."""
     calls = recorded_solves(patch, config)
-    lift, noise, _, _ = calls[0]
+    _, lift, draw, _, _ = calls[0]
     points, repetitions = len(config.grid_points()), config.repetitions
-    assert len(noise) == points * repetitions
+    assert len(draw) == points * repetitions
     assert len(np.unique(lift.reshape(len(lift), -1), axis=0)) == points
-    assert len(np.unique(noise.reshape(len(noise), -1), axis=0)) == repetitions
+    assert len(np.unique(draw.reshape(len(draw), -1), axis=0)) == repetitions
     checked = 0
-    for lift, noise, coef, solved in calls:
+    for kind, lift, draw, coef, solved in calls:
         for k in np.flatnonzero(solved):
-            values = noise[k] @ lift[k].T
-            expected = np.linalg.lstsq(values[:, :-1], values[:, -1], rcond=None)[0]
+            if kind == "rows":
+                values = draw[k] @ lift[k].T
+                expected = np.linalg.lstsq(values[:, :-1], values[:, -1], rcond=None)[0]
+            else:
+                moments = lift[k] @ draw[k] @ lift[k].T
+                expected = np.linalg.solve(moments[:-1, :-1], moments[:-1, -1])
             assert abs(coef[k] - expected[1]) <= tolerance * np.linalg.norm(expected)
             checked += 1
     return checked
@@ -667,7 +714,7 @@ def small_models(draw) -> tuple[ScmSpec, str, tuple[str, ...]]:
     is the outcome, with the free weight ``w`` on its edge from the first
     Gaussian node, the treatment.  With 7 or more nodes the second Gaussian
     node may be latent.  Every sweep over it has 6 to 8 regression
-    parameters, and draws noise rows below n = 11."""
+    parameters, so it draws noise rows at n = 5 and Grams at n = 10."""
     bernoulli = [f"B{i}" for i in range(draw(st.integers(3, 4)))]
     gaussian = [f"G{i}" for i in range(draw(st.integers(3, 4)))]
     weight = st.floats(-2.0, 2.0)
@@ -773,18 +820,7 @@ class TestClosedFormLaw:
             SKEWED["t_e"], SKEWED["z_e"], SKEWED["z_t"]
         )
 
-    @pytest.mark.parametrize("n", [7, 10, 11])
-    def test_row_draws_follow_the_law(self, n):
-        rows, _, _ = _noise_map(self.spec)
-        lift = _lift(rows, "E", EFFORT_PREDICTORS)
-        noise = _draw_noise(self.spec, (LAW_DRAWS, n), _rng_from((13, n)))
-        coef, solved = _gram_estimates(lift, np.einsum("rni,rnj->rij", noise, noise))
-        design = noise[solved] @ lift[:self.p].T
-        gram = np.einsum("rni,rnj->rij", design, design)
-        z = treatment_z_scores(gram, coef[solved], *self.law)
-        assert ks_against_standard_normal(z) < ks_critical_one_sample(z.size, 0.001)
-
-    @pytest.mark.parametrize("n", [12, 50, 10**6])
+    @pytest.mark.parametrize("n", [6, 7, 10, 11, 12, 50, 10**6])
     def test_gram_draws_follow_the_law(self, n):
         rows, p, gaussians = _noise_map(self.spec)
         lift = _lift(rows, "E", EFFORT_PREDICTORS)

@@ -568,3 +568,10 @@ class TestInterval:
         assert outer.contains(Interval(1.0, 9.0, 0.5))
         assert outer.contains(5.0)
         assert not outer.contains(Interval(-1.0, 5.0, 0.5))
+        assert not outer.contains(Interval(5.0, 11.0, 0.5))
+        # Closed at both ends.
+        assert outer.contains(Interval(0.0, 10.0, 0.5))
+        assert outer.contains(0.0) and outer.contains(10.0)
+        assert not outer.contains(-1e-300) and not outer.contains(10.000000000000002)
+        point = Interval(3.0, 3.0, 0.5)
+        assert point.contains(3.0) and point.contains(point)
