@@ -114,10 +114,9 @@ def minimal_adjustment_sets(
 ) -> list[frozenset[str]]:
     """All inclusion-minimal valid adjustment sets, smallest first then lexicographic.
 
-    With ``observed_only`` only the sets without a latent node are kept: a
-    latent-free minimal set is minimal among observed sets, and conversely.
-    An empty list means no valid set exists under the constraint; a single
-    empty set means no adjustment is needed.
+    With ``observed_only`` only the sets without a latent node are kept (see
+    :func:`_observed`).  An empty list means no valid set exists under the
+    constraint; a single empty set means no adjustment is needed.
     """
     dag, t, y = query.dag, query.treatment, query.outcome
     backdoor = _backdoor_graph(query)
@@ -135,7 +134,12 @@ def minimal_adjustment_sets(
                 continue
             if is_d_separated(backdoor, SeparationQuery(t, y, subset)):
                 found.append(subset)
-    return [s for s in found if not s & dag.latent] if observed_only else found
+    return _observed(found, dag) if observed_only else found
+
+
+def _observed(sets: list[frozenset[str]], dag: CausalDag) -> list[frozenset[str]]:
+    """The latent-free sets: such a minimal set is minimal among observed sets, and conversely."""
+    return [s for s in sets if not s & dag.latent]
 
 
 def augment_with_confounder(dag: CausalDag, edge: tuple[str, str]) -> CausalDag:
@@ -233,7 +237,6 @@ def edge_confounder_report(query: CausalQuery) -> AdjustmentReport:
         augmented = augment_with_confounder(query.dag, edge)
         sub = CausalQuery(augmented, query.treatment, query.outcome)
         with_latents = minimal_adjustment_sets(sub)
-        # A minimal set with no latent node is also minimal among observed sets.
-        observed = [s for s in with_latents if not s & augmented.latent]
+        observed = _observed(with_latents, augmented)
         entries.append(EdgeEntry(edge, tuple(with_latents), tuple(observed)))
     return AdjustmentReport(query.treatment, query.outcome, tuple(entries))

@@ -33,6 +33,7 @@ from pathlib import Path
 from . import __version__
 from .adjustment import (
     CausalQuery,
+    _observed,
     edge_confounder_report,
     format_set,
     minimal_adjustment_sets,
@@ -134,7 +135,7 @@ def cmd_adjust(args, manifest: RunManifest) -> int:
         raise UsageError("--with-latents conflicts with --json: the JSON holds both lists")
     query = _load_dag(args, manifest)
     with_latents = minimal_adjustment_sets(query)
-    observed = [s for s in with_latents if not s & query.dag.latent]
+    observed = _observed(with_latents, query.dag)
     shown = with_latents if args.with_latents else observed
     scope = "latent nodes allowed" if args.with_latents else "observed nodes only"
     lines = [f"minimal adjustment sets for {query.treatment} -> {query.outcome} ({scope}):"]

@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .dag import CausalDag
-from .stats import Dataset, Interval, _solve_normal_stack, _stacked_least_squares, hpdi
+from .stats import Dataset, Interval, _last_coefficient, _stacked_least_squares, hpdi
 
 __all__ = [
     "BernoulliExogenous",
@@ -421,14 +421,14 @@ def _grid_estimates(
     """Every grid point's tracked coefficient from each repetition at sample
     size ``n``, shape ``(grid points, repetitions)``, and which were solved.
 
-    ``lifts`` stacks each grid point's :func:`_lift`; ``spec``, any grid
-    point's model, gives the noise layout they share.  Repetitions are drawn
-    a block at a time, and each draw serves every grid point (common random
-    numbers).  A block with n at least the number p of regression
-    parameters draws each repetition's Gram matrix of the noise (see
-    :func:`_draw_grams`); one with n < p draws its n noise rows (see
-    :func:`_draw_noise`) for the minimum-norm solve (see
-    :func:`_row_estimates`).
+    ``lifts`` stacks each grid point's :func:`_lift`, the tracked predictor
+    placed last; ``spec``, any grid point's model, gives the noise layout
+    they share.  Repetitions are drawn a block at a time, and each draw
+    serves every grid point (common random numbers).  A block with n at
+    least the number p of regression parameters draws each repetition's Gram
+    matrix of the noise (see :func:`_draw_grams`) for :func:`_gram_estimates`;
+    one with n < p draws its n noise rows (see :func:`_draw_noise`) for the
+    minimum-norm solve of :func:`_row_estimates`.
     Attempt a of a block draws the whole block from the seed
     ``(*entropy, block start, a)``, and a repetition keeps its index in the
     block as its slot in every draw.  The (grid point, repetition) pairs left
@@ -523,11 +523,11 @@ def _noise_map(spec: ScmSpec) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
 
 
 def _lift(rows: dict[str, np.ndarray], outcome: str, predictors: tuple[str, ...]) -> np.ndarray:
-    """The rows of M for the intercept, the predictors and the outcome: one
-    sample's regression values are lift·u."""
+    """The rows of M for the intercept, the other predictors, the tracked predictor
+    ``predictors[0]``, placed last only here, and the outcome: a sample's values are lift·u."""
     intercept = np.zeros(rows[outcome].size)
     intercept[0] = 1.0
-    return np.stack([intercept, *(rows[v] for v in predictors), rows[outcome]])
+    return np.stack([intercept, *(rows[v] for v in (*predictors[1:], predictors[0], outcome))])
 
 
 def _draw_grams(
@@ -591,21 +591,19 @@ def _draw_grams(
 
 
 def _gram_estimates(lift: np.ndarray, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first predictor's coefficient from each noise Gram G, and which were solved.
+    """The tracked predictor's coefficient from each noise Gram G, and which were solved.
 
     ``lift`` is one :func:`_lift` for every Gram, or one per Gram.  With D
-    its intercept and predictor rows, a regression's XᵀX is D·G·Dᵀ and its
-    Xᵀy is D·G·M[outcome].
+    its intercept and predictor rows, lift·G·Dᵀ stacks a regression's XᵀX =
+    D·G·Dᵀ over its yᵀX, whose factor gives the last, tracked coefficient.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = lift @ grams @ lift.swapaxes(-1, -2)
-    p = lift.shape[-2] - 1
-    coef, solved = _solve_normal_stack(moments[:, :p, :p], moments[:, :p, p])
-    return coef[:, 1], solved
+        moments = lift @ grams @ lift[..., :-1, :].swapaxes(-1, -2)
+    return _last_coefficient(moments)
 
 
 def _row_estimates(lift: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first predictor's coefficient from each repetition's noise rows,
+    """The tracked predictor's coefficient from each repetition's noise rows,
     shape ``(r, n, d)``, and which :func:`_stacked_least_squares` solved.
 
     ``lift`` is one :func:`_lift` for every repetition, or one per
@@ -615,7 +613,7 @@ def _row_estimates(lift: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.
     with np.errstate(over="ignore", invalid="ignore"):
         values = lift @ noise.transpose(0, 2, 1)  # (r, p + 1, n): the rows' transpose
     coef, solved = _stacked_least_squares(values[:, :-1], values[:, -1])
-    return coef[:, 1], solved
+    return coef[:, -1], solved  # the tracked predictor, placed last by _lift
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

@@ -4,9 +4,9 @@ The regression here is plain ordinary least squares with analytic standard
 errors.  Every normal-equations solve, a single ``fit`` or a sweep's whole
 stack of small regressions, goes through one vectorised Cholesky
 factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
-diagonal entry of XtX counts as rank deficiency.  A sweep solves from its
-rows only a regression with fewer rows than parameters, which factors XXt
-the same way, at a cutoff of 1e-5, for the minimum-norm solution.
+diagonal entry of XtX counts as rank deficiency.  A sweep solves only the
+last coefficient, and from its rows only a regression with fewer rows than
+parameters, which factors XXt at a cutoff of 1e-5 for the minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -269,19 +269,16 @@ def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np
     return coef, solved & np.isfinite(coef).all(axis=1)
 
 
-def _solve_normal_stack(gram: np.ndarray, moment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions of a stack of normal equations ``XtX b = Xty``, and which were solved.
+def _last_coefficient(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last coefficient z_p / L_pp of a stack of normal equations, and which were solved.
 
-    ``gram`` holds the ``(r, p, p)`` matrices XtX and ``moment`` the ``(r, p)``
-    vectors Xty.  A system fails under the pivot rule of
-    :func:`_cholesky_factor`, which no non-finite XtX passes; one that fails,
-    or has a non-finite coefficient, is unsolved, and its coefficients are
-    then meaningless.
+    ``moments`` stacks XtX over ytX, ``(r, p + 1, p)``, whose tall factor is L over zt (L z = Xty);
+    a system failing the pivot rule or giving a non-finite coefficient is unsolved.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        lower, solved = _cholesky_factor(gram)
-        coef = _cholesky_substitute(lower, moment)
-    return coef, solved & np.isfinite(coef).all(axis=1)
+        lower, solved = _cholesky_factor(moments)
+        coef = lower[:, -1, -1] / lower[:, -2, -1]
+    return coef, solved & np.isfinite(coef)
 
 
 def _cholesky_factor(gram: np.ndarray, rtol: float = _PIVOT_RTOL) -> tuple[np.ndarray, np.ndarray]:
@@ -292,9 +289,10 @@ def _cholesky_factor(gram: np.ndarray, rtol: float = _PIVOT_RTOL) -> tuple[np.nd
     largest diagonal entry (or is not a number); from its first failed pivot
     on, its factor continues as the identity so that the other matrices'
     arithmetic stays finite.  LAPACK's Cholesky cannot be used here: one
-    failed matrix makes it raise for the whole stack.
+    failed matrix makes it raise for the whole stack.  A tall ``(r, p + 1, p)``
+    stack, A with a row bt below, comes back as A's factor L with (L^-1 b)t below.
     """
-    r, p, _ = gram.shape
+    r, _, p = gram.shape
     floor = rtol * np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
     lower = np.zeros_like(gram)
     solved = np.ones(r, dtype=bool)

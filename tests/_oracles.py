@@ -201,13 +201,13 @@ def treatment_z_scores(
 ) -> np.ndarray:
     """z = (b_T - beta) / (sigma * sqrt([(XtX)^-1]_TT)) for each regression.
 
-    ``gram`` holds the ``(r, p, p)`` matrices XtX, with T second after the
-    intercept, and ``coef`` the ``(r,)`` least-squares coefficients b_T.  When
-    the outcome is N(X·b, sigma**2) given the design X, with T's entry of b
-    equal to beta, z is exactly standard normal at every n >= p, whatever the
-    law of the design.
+    ``gram`` holds the ``(r, p, p)`` matrices XtX, with T last as
+    ``scm._lift`` places it, and ``coef`` the ``(r,)`` least-squares
+    coefficients b_T.  When the outcome is N(X·b, sigma**2) given the design
+    X, with T's entry of b equal to beta, z is exactly standard normal at
+    every n >= p, whatever the law of the design.
     """
-    return (coef - beta) / (sigma * np.sqrt(np.linalg.inv(gram)[:, 1, 1]))
+    return (coef - beta) / (sigma * np.sqrt(np.linalg.inv(gram)[:, -1, -1]))
 
 
 def ks_against_standard_normal(z: np.ndarray) -> float:

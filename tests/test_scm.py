@@ -655,6 +655,18 @@ class TestGramDraws:
         assert row_sizes == {5}
         assert gram_sizes == {6, 10, 11, 12}
 
+    def test_cells_from_p_on_make_no_substitution(self, monkeypatch):
+        # From n = p on a cell reads the tracked coefficient off the
+        # Cholesky factor of its moments, with no back substitution.
+        def refused(lower, rhs):
+            raise AssertionError("a sweep cell with n >= p called _cholesky_substitute")
+
+        monkeypatch.setattr(stats, "_cholesky_substitute", refused)
+        result = run_sweep(parse_sweep_config(SMALL_CONFIG.replace("n = 5, 20", "n = 6, 10, 50")))
+        assert {cell.n for cell in result.cells} == {6, 10, 50}
+        assert not any(cell.failed for cell in result.cells)
+
+
 def csv_rows_by_cell(result) -> dict[tuple[str, ...], str]:
     """Each CSV row of a sweep, keyed by its grid values and n."""
     key_width = len(result.grid_names) + 1
@@ -702,7 +714,7 @@ def check_shared_draw_against_lstsq(patch, config, tolerance) -> int:
             else:
                 moments = lift[k] @ draw[k] @ lift[k].T
                 expected = np.linalg.solve(moments[:-1, :-1], moments[:-1, -1])
-            assert abs(coef[k] - expected[1]) <= tolerance * np.linalg.norm(expected)
+            assert abs(coef[k] - expected[-1]) <= tolerance * np.linalg.norm(expected)
             checked += 1
     return checked
 
@@ -758,6 +770,22 @@ class TestCommonRandomNumbers:
         shared = base.keys() & other.keys()
         assert {key[-1] for key in shared} == {"5", "10", "50"}
         assert all(other[key] == base[key] for key in shared)
+
+    def test_a_chunk_of_grid_points_stays_within_the_block_bound(self, monkeypatch):
+        # At 1000 values a block holds all 40 repetitions, and a chunk as
+        # many of the four grid points as keep grid points x repetitions x
+        # min(n, 12) values within the bound: all four at n = 5, two from n = 10 on.
+        monkeypatch.setattr(scm, "_BLOCK_VALUES", 1000)
+        text = SMALL_CONFIG.replace("grid.z_t = 0.1", "grid.z_t = 0.1, -0.4") \
+                           .replace("n = 5, 20", "n = 5, 10, 50")
+        largest = {}
+        for kind, lift, draw, _, _ in recorded_solves(monkeypatch, parse_sweep_config(text)):
+            n = draw.shape[1] if kind == "rows" else int(draw[0, 0, 0])  # a Gram's [0, 0] is n
+            points = len(np.unique(lift.reshape(len(lift), -1), axis=0))
+            repetitions = len(np.unique(draw.reshape(len(draw), -1), axis=0))
+            assert points * repetitions * min(n, 12) <= 1000
+            largest[n] = max(largest.get(n, 0), points)
+        assert largest == {5: 4, 10: 2, 50: 2}
 
     def test_a_draw_seed_names_no_grid_point(self, monkeypatch):
         seeds, rng_from = [], scm._rng_from

@@ -15,7 +15,8 @@ from ovbkit.stats import (
     Interval,
     RankDeficiencyError,
     StatsError,
-    _solve_normal_stack,
+    _cholesky_factor,
+    _last_coefficient,
     _stacked_least_squares,
     hpdi,
     ols_fit,
@@ -286,15 +287,44 @@ class TestSolveNormalEquations:
         assert min(outcomes.values()) > 2_000
 
 
-def normal_moments(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """XtX and Xty of a stack of transposed designs ``(r, p, n)`` and outcomes
-    ``(r, n)``, letting them overflow as a sweep's moments from a Gram do."""
+def tall_moments(design: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """XtX with ytX below it, shape ``(r, p + 1, p)``, of a stack of transposed
+    designs ``(r, p, n)`` and outcomes ``(r, n)``, letting them overflow as a
+    sweep's moments from a Gram do."""
+    values = np.concatenate([design, response[:, None]], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("rin,rjn->rij", design, design), np.einsum("rin,rn->ri", design, response)
+        return np.einsum("rin,rjn->rij", values, design)
+
+
+class TestCholeskyFactor:
+    """:func:`_cholesky_factor` on a tall stack: XtX with ytX below it."""
+
+    def test_tall_factor_has_the_square_factor_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for (n, p), design in _near_collinear_stacks(rng).items():
+            moments = tall_moments(design, rng.standard_normal((len(design), n)))
+            square, square_solved = _cholesky_factor(moments[:, :-1])
+            lower, solved = _cholesky_factor(moments)
+            assert lower.shape == moments.shape
+            assert lower[:, :-1].tobytes() == square.tobytes(), (n, p)
+            assert np.array_equal(solved, square_solved)
+
+    def test_extra_row_is_the_forward_substitution(self):
+        rng = np.random.default_rng(18)
+        for n, p in [(6, 2), (12, 6), (50, 6), (59, 4), (2_000, 3)]:
+            design = np.concatenate(
+                [np.ones((40, 1, n)), rng.standard_normal((40, p - 1, n))], axis=1
+            )
+            response = rng.standard_normal((40, n)) + design[:, 1]
+            lower, solved = _cholesky_factor(tall_moments(design, response))
+            assert solved.all()
+            for k in range(40):
+                expected = np.linalg.solve(lower[k, :-1], design[k] @ response[k])
+                assert np.linalg.norm(lower[k, -1] - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestStackedLeastSquares:
-    """The sweep's stacked solves: :func:`_solve_normal_stack` on normal
+    """The sweep's stacked solves: :func:`_last_coefficient` on normal
     equations at n >= p, and the minimum-norm :func:`_stacked_least_squares`
     at n < p."""
 
@@ -303,7 +333,7 @@ class TestStackedLeastSquares:
         outcomes = {True: 0, False: 0}
         for (n, p), design in _near_collinear_stacks(rng).items():
             response = rng.standard_normal((len(design), n))
-            coef, solved = _solve_normal_stack(*normal_moments(design, response))
+            coef, solved = _last_coefficient(tall_moments(design, response))
             for k in range(len(design)):
                 expected = lapack_normal_equations(design[k].T, response[k]) is not None
                 assert solved[k] == expected, (n, p, k)
@@ -313,14 +343,19 @@ class TestStackedLeastSquares:
         assert min(outcomes.values()) > 2_000
 
     def test_coefficients_match_on_well_conditioned_designs(self):
+        # The helper returns the last coefficient only, so each column is
+        # moved last in turn to solve every coefficient.
         rng = np.random.default_rng(12)
         for n, p in [(6, 2), (12, 6), (50, 6), (59, 4), (2_000, 3)]:
             design = np.concatenate(
                 [np.ones((40, 1, n)), rng.standard_normal((40, p - 1, n))], axis=1
             )
             response = rng.standard_normal((40, n)) + design[:, 1]
-            coef, solved = _solve_normal_stack(*normal_moments(design, response))
-            assert solved.all()
+            coef = np.empty((40, p))
+            for j in range(p):
+                order = [i for i in range(p) if i != j] + [j]
+                coef[:, j], solved = _last_coefficient(tall_moments(design[:, order], response))
+                assert solved.all()
             for k in range(40):
                 expected = lapack_normal_equations(design[k].T, response[k])
                 assert np.linalg.norm(coef[k] - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -386,7 +421,7 @@ class TestStackedLeastSquares:
         def solve(design, response):
             if n < 6:
                 return _stacked_least_squares(design, response)
-            return _solve_normal_stack(*normal_moments(design, response))
+            return _last_coefficient(tall_moments(design, response))
 
         monkeypatch.setattr(np.linalg, "pinv", finite_only)
         monkeypatch.setattr(stats, "_cholesky_factor", finite_dual)
