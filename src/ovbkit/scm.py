@@ -336,7 +336,8 @@ class SweepConfig:
         self.template.bind({**self.fixed, **{k: v[0] for k, v in self.grid.items()}})
         dag = self.template.dag
         for name in (self.outcome, *self.predictors):
-            dag.require(name)
+            if name not in dag.nodes:
+                raise ScmError(f"unknown node {name!r}")
         if self.outcome in dag.latent:
             raise ScmError(f"latent node cannot be the regression outcome: {self.outcome!r}")
         bad = set(self.predictors) & dag.latent
@@ -612,8 +613,7 @@ def _row_estimates(lift: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = lift @ noise.transpose(0, 2, 1)  # (r, p + 1, n): the rows' transpose
-    coef, solved = _stacked_least_squares(values[:, :-1], values[:, -1])
-    return coef[:, -1], solved  # the tracked predictor, placed last by _lift
+    return _stacked_least_squares(values)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -676,11 +676,11 @@ def parse_sweep_config(text: str) -> SweepConfig:
     (comma-separated values swept over), ``param.<param>`` (fixed value),
     ``n`` (comma-separated sample sizes), ``repetitions``, ``seed``,
     ``outcome``, and ``predictors`` (comma-separated; first is the treatment).
-    The config binds the bundled team-effort model.
+    No entry of a list may be empty.  The config binds the bundled team-effort model.
     """
     grid: dict[str, tuple[float, ...]] = {}
     fixed: dict[str, float] = {}
-    scalars: dict[str, str] = {}
+    scalars: dict[str, str | list[str]] = {}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -692,8 +692,12 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if key in seen:
             raise ScmError(f"config line {lineno}: duplicate key {key!r}")
         seen.add(key)
+        if key.startswith("grid.") or key in ("n", "predictors"):
+            value = [entry.strip() for entry in value.split(",")]
+            if not all(value):
+                raise ScmError(f"config line {lineno}: empty entry in {key!r}")
         if key.startswith("grid."):
-            grid[key.split(".", 1)[1]] = _floats(value, lineno)
+            grid[key.split(".", 1)[1]] = tuple(_float(v, lineno) for v in value)
         elif key.startswith("param."):
             fixed[key.split(".", 1)[1]] = _float(value, lineno)
         else:
@@ -706,7 +710,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     if missing:
         raise ScmError(f"missing config key(s): {sorted(missing)}")
     try:
-        sizes = tuple(int(v) for v in scalars["n"].split(","))
+        sizes = tuple(int(v) for v in scalars["n"])
         repetitions = int(scalars["repetitions"])
         seed = int(scalars["seed"])
     except ValueError as exc:
@@ -718,7 +722,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         sample_sizes=sizes,
         repetitions=repetitions,
         outcome=scalars["outcome"],
-        predictors=tuple(p.strip() for p in scalars["predictors"].split(",")),
+        predictors=tuple(scalars["predictors"]),
         seed=seed,
     )
 
@@ -731,13 +735,6 @@ def _float(value: str, lineno: int) -> float:
     if not math.isfinite(out):
         raise ScmError(f"config line {lineno}: values must be finite")
     return out
-
-
-def _floats(value: str, lineno: int) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if not parts:
-        raise ScmError(f"config line {lineno}: empty value list")
-    return tuple(_float(p, lineno) for p in parts)
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:

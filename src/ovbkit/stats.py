@@ -5,8 +5,9 @@ errors.  Every normal-equations solve, a single ``fit`` or a sweep's whole
 stack of small regressions, goes through one vectorised Cholesky
 factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
 diagonal entry of XtX counts as rank deficiency.  A sweep solves only the
-last coefficient, and from its rows only a regression with fewer rows than
-parameters, which factors XXt at a cutoff of 1e-5 for the minimum-norm solution.
+last coefficient of each regression, off one tall factor: of XtX over ytX, or,
+with fewer rows than parameters, of XXt over yt and that column's xt at a cutoff
+of 1e-5, for the minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -241,32 +242,30 @@ def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np
     return _cholesky_substitute(lower, moment[None])[0], lower[0]
 
 
-def _stacked_least_squares(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm least-squares coefficients of a stack of regressions, and which were solved.
+def _stacked_least_squares(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last minimum-norm least-squares coefficient of a stack of regressions, and which were solved.
 
-    ``design`` holds one transposed design matrix per regression, shape
-    ``(r, p, n)`` with fewer rows than parameters, ``n < p``, and ``response``
-    the matching ``(r, n)`` outcomes; the coefficients come back as ``(r, p)``.
-    Each gets b = Xt w, where XXt w = y is factored by :func:`_cholesky_factor`
-    at the stricter dual cutoff; a system that fails that pivot rule is solved
-    by ``pinv`` with the singular-value cutoff of ``numpy.linalg.lstsq(rcond=None)``.
-    A regression whose design's sum of squares overflows, or that has a
-    non-finite coefficient, is unsolved; its coefficients are then meaningless.
+    ``values`` stacks each regression's transposed design over its outcome, ``(r, p + 1, n)``,
+    n < p.  Its b_p = x_pt (XXt)^-1 y is (L^-1 y)·(L^-1 x_p) from the tall factor of XXt over
+    yt and x_pt, at the stricter dual cutoff; a system failing that pivot rule takes the last
+    row of X's ``pinv``, at ``lstsq``'s singular-value cutoff, times y.  A regression whose
+    sum of squares overflows, or whose coefficient is not finite, is unsolved.
     """
-    _, p, n = design.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        # LAPACK's SVD may never return on inf or NaN, so such designs are
-        # zeroed before any solve; their XXt then fails every pivot.
-        solved = np.isfinite(np.einsum("rin,rin->r", design, design))
+        # LAPACK's SVD may never return on inf or NaN, so such regressions
+        # are zeroed before any solve; their XXt then fails every pivot.
+        solved = np.isfinite(np.einsum("rin,rin->r", values, values))
         if not solved.all():
-            design = np.where(solved[:, None, None], design, 0.0)
-        lower, dual = _cholesky_factor(design.transpose(0, 2, 1) @ design, _DUAL_PIVOT_RTOL)
-        coef = np.einsum("rpn,rn->rp", design, _cholesky_substitute(lower, response))
+            values = np.where(solved[:, None, None], values, 0.0)
+        design = values[:, :-1]
+        tall = np.concatenate([design.transpose(0, 2, 1) @ design, values[:, [-1, -2]]], axis=1)
+        lower, dual = _cholesky_factor(tall, _DUAL_PIVOT_RTOL)
+        coef = np.einsum("rn,rn->r", lower[:, -2], lower[:, -1])
         fallback = solved & ~dual
         if fallback.any():
-            pinv = np.linalg.pinv(design[fallback], rcond=max(n, p) * np.finfo(float).eps)
-            coef[fallback] = np.einsum("rnp,rn->rp", pinv, response[fallback])
-    return coef, solved & np.isfinite(coef).all(axis=1)
+            pinv = np.linalg.pinv(design[fallback], rcond=max(design.shape[1:]) * np.finfo(float).eps)
+            coef[fallback] = np.einsum("rn,rn->r", pinv[:, :, -1], values[fallback, -1])
+    return coef, solved & np.isfinite(coef)
 
 
 def _last_coefficient(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,8 +288,8 @@ def _cholesky_factor(gram: np.ndarray, rtol: float = _PIVOT_RTOL) -> tuple[np.nd
     largest diagonal entry (or is not a number); from its first failed pivot
     on, its factor continues as the identity so that the other matrices'
     arithmetic stays finite.  LAPACK's Cholesky cannot be used here: one
-    failed matrix makes it raise for the whole stack.  A tall ``(r, p + 1, p)``
-    stack, A with a row bt below, comes back as A's factor L with (L^-1 b)t below.
+    failed matrix makes it raise for the whole stack.  A tall ``(r, p + k, p)``
+    stack, A with k rows Bt below, comes back as A's factor L with (L^-1 B)t below.
     """
     r, _, p = gram.shape
     floor = rtol * np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)

@@ -73,6 +73,10 @@ class TestParsing:
         with pytest.raises(CycleError) as err:
             parse_dag(edges)
         assert str(err.value) == "cycle detected: B -> C -> A -> B"
+        # The smallest node, A, is a root outside the cycle: the walk starts
+        # only from nodes Kahn's algorithm left over.
+        with pytest.raises(CycleError, match="^cycle detected: C -> B -> C$"):
+            parse_dag("A -> B\nB -> C\nC -> B")
 
     def test_comments_and_blank_lines(self):
         dag = parse_dag("# header\n\nX -> Y  # trailing\nlatent Z\nZ -> Y\n")
@@ -129,6 +133,9 @@ class TestStructure:
             CausalDag(frozenset({"X"}), frozenset(), latent=frozenset({"Q"}))
         with pytest.raises(CycleError):
             CausalDag.from_edges([("A", "B"), ("B", "C"), ("C", "A")])
+        for name in ("1X", "X Y", "", 3):  # a string that is no name, and no string
+            with pytest.raises(DagError, match="^invalid node name"):
+                CausalDag(frozenset({name}), frozenset())
 
     def test_topological_order_chain(self):
         assert topological_order(CHAIN) == ["X", "Z", "Y"]

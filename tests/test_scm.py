@@ -282,6 +282,16 @@ class TestConfigParsing:
              "latent node cannot be the regression outcome: 'Z'"),
             ("n = 5, 20", f"n = 5, {2**63}",              # beyond numpy's counts
              f"sample sizes must be at most {2**63 - 1}, got {2**63}"),
+            # An empty entry of any list, inside or after its last comma.
+            ("grid.t_e = 0.3", "grid.t_e = 0.1,,0.5", "config line 10: empty entry in 'grid.t_e'"),
+            ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.1, 0.5,",
+             "config line 11: empty entry in 'grid.z_e'"),
+            ("n = 5, 20", "n = 5, 10,", "config line 13: empty entry in 'n'"),
+            ("predictors = T, B, K, O, S", "predictors = T, B,",
+             "config line 17: empty entry in 'predictors'"),
+            ("seed = 99", "seed 99", "config line 15: expected 'key = value'"),
+            ("outcome = E", "outcome = Q", "unknown node 'Q'"),
+            ("predictors = T, B, K, O, S", "predictors = T, Q", "unknown node 'Q'"),
         ],
     )
     def test_invalid_configs(self, mutation):
@@ -376,6 +386,28 @@ class TestSweep:
         assert duals
         assert any(attempt > 0 for *_, attempt in seeds)  # the overflowed repetitions were redrawn
         assert all(cell.failed or np.isfinite(cell.mean) for cell in result.cells)
+
+    def test_table5_takes_the_pinv_fallbacks_the_readme_quotes(self, monkeypatch):
+        # Each n = 5 repetition of table5.conf is one dual solve, and a
+        # repetition whose XXt fails the dual pivot rule is one pinv row.
+        from ovbkit.fixtures import fixture_text
+
+        pinv, rows = np.linalg.pinv, []
+
+        def recorded(design, *args, **kwargs):
+            rows.append(len(design))
+            return pinv(design, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", recorded)
+        config = parse_sweep_config(fixture_text("table5.conf"))
+        result = run_sweep(config)
+        assert all(cell.failures == 0 for cell in result.cells)
+        draws = len(config.grid_points()) * config.repetitions
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quoted = re.search(r"([\d,]+) of the ([\d,]+) n = 5 draws of `table5\.conf`",
+                           re.sub(r"\s+", " ", readme))
+        assert quoted is not None
+        assert (f"{sum(rows):,}", f"{draws:,}") == quoted.groups() == ("756", "21,600")
 
     def test_all_degenerate_draws_fail_the_cell(self):
         # A constant exogenous flag is always collinear with the intercept,
@@ -641,9 +673,9 @@ class TestGramDraws:
         row_sizes, gram_sizes = set(), set()
         stacked, draw_grams = scm._stacked_least_squares, scm._draw_grams
 
-        def row_solve(design, response):
-            row_sizes.add(design.shape[-1])
-            return stacked(design, response)
+        def row_solve(values):
+            row_sizes.add(values.shape[-1])
+            return stacked(values)
 
         def recorded(p, gaussians, n, r, rng):
             gram_sizes.add(n)
@@ -655,15 +687,16 @@ class TestGramDraws:
         assert row_sizes == {5}
         assert gram_sizes == {6, 10, 11, 12}
 
-    def test_cells_from_p_on_make_no_substitution(self, monkeypatch):
-        # From n = p on a cell reads the tracked coefficient off the
-        # Cholesky factor of its moments, with no back substitution.
+    def test_no_cell_makes_a_substitution(self, monkeypatch):
+        # Every cell reads the tracked coefficient off a tall Cholesky factor,
+        # with no back substitution: below p = 6 that of XXt over yt and the
+        # treatment's column, from p on that of its moments.
         def refused(lower, rhs):
-            raise AssertionError("a sweep cell with n >= p called _cholesky_substitute")
+            raise AssertionError("a sweep cell called _cholesky_substitute")
 
         monkeypatch.setattr(stats, "_cholesky_substitute", refused)
-        result = run_sweep(parse_sweep_config(SMALL_CONFIG.replace("n = 5, 20", "n = 6, 10, 50")))
-        assert {cell.n for cell in result.cells} == {6, 10, 50}
+        result = run_sweep(parse_sweep_config(SMALL_CONFIG.replace("n = 5, 20", "n = 5, 6, 10, 50")))
+        assert {cell.n for cell in result.cells} == {5, 6, 10, 50}
         assert not any(cell.failed for cell in result.cells)
 
 

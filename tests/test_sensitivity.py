@@ -133,6 +133,12 @@ class TestTippingReport:
         with pytest.raises(SensitivityError):
             TipInput(-0.052)
 
+    def test_one_estimate_gives_its_one_scenario(self):
+        effect_only = tipping_report(TipInput(-0.052, confounder_outcome_effect=0.17))
+        smd_only = tipping_report(TipInput(-0.052, confounder_smd=-0.15))
+        assert [s["kind"] for s in effect_only["scenarios"]] == ["smd_needed"]
+        assert [s["kind"] for s in smd_only["scenarios"]] == ["outcome_effect_needed"]
+
 
 class TestTippingGrid:
     def test_curve_passes_through_reference_points(self):
@@ -252,9 +258,10 @@ class TestEValueCurve:
         assert rows[0].evalue == pytest.approx(1.39, abs=0.02)
 
     def test_delta_domain_enforced(self):
-        with pytest.raises(SensitivityError):
+        # Both ends are refused by the curve's own check, before any E-value.
+        with pytest.raises(SensitivityError, match=r"^deltas must lie in \(0, 1\]$"):
             evalue_curve([("t", 0.3, 0.0, 1.0)], [0.0])
-        with pytest.raises(SensitivityError):
+        with pytest.raises(SensitivityError, match=r"^deltas must lie in \(0, 1\]$"):
             evalue_curve([("t", 0.3, 0.0, 1.0)], [1.2])
         with pytest.raises(SensitivityError):
             evalue_curve([], [0.1])

@@ -296,18 +296,46 @@ def tall_moments(design: np.ndarray, response: np.ndarray) -> np.ndarray:
         return np.einsum("rin,rjn->rij", values, design)
 
 
+def dual_stack(values: np.ndarray) -> np.ndarray:
+    """XXt with yt and the last column's xt below it, shape ``(r, n + 2, n)``,
+    of a stack of transposed designs over outcomes ``(r, p + 1, n)``."""
+    design = values[:, :-1]
+    return np.concatenate([design.transpose(0, 2, 1) @ design, values[:, [-1, -2]]], axis=1)
+
+
 class TestCholeskyFactor:
-    """:func:`_cholesky_factor` on a tall stack: XtX with ytX below it."""
+    """:func:`_cholesky_factor` on a tall stack: XtX with ytX below it, or at
+    n < p XXt with yt and xt below it."""
 
     def test_tall_factor_has_the_square_factor_bit_for_bit(self):
         rng = np.random.default_rng(17)
+        outcomes = {True: 0, False: 0}
         for (n, p), design in _near_collinear_stacks(rng).items():
-            moments = tall_moments(design, rng.standard_normal((len(design), n)))
-            square, square_solved = _cholesky_factor(moments[:, :-1])
-            lower, solved = _cholesky_factor(moments)
-            assert lower.shape == moments.shape
-            assert lower[:, :-1].tobytes() == square.tobytes(), (n, p)
-            assert np.array_equal(solved, square_solved)
+            response = rng.standard_normal((len(design), n))
+            # Transposed, a (p, n) design holds n parameters of p < n samples,
+            # and its XXt is the near-collinear XtX of the design.
+            dual_values = np.concatenate(
+                [design.transpose(0, 2, 1), rng.standard_normal((len(design), 1, p))], axis=1
+            )
+            for tall, extra, rtol in [(tall_moments(design, response), 1, stats._PIVOT_RTOL),
+                                      (dual_stack(dual_values), 2, stats._DUAL_PIVOT_RTOL)]:
+                square, square_solved = _cholesky_factor(tall[:, :-extra], rtol)
+                lower, solved = _cholesky_factor(tall, rtol)
+                assert lower.shape == tall.shape
+                assert lower[:, :-extra].tobytes() == square.tobytes(), (n, p, extra)
+                assert np.array_equal(solved, square_solved)
+                if extra == 2:
+                    outcomes[True] += int(solved.sum())
+                    outcomes[False] += int((~solved).sum())
+        # The effort model's n = 5 stacks, whose failed dual pivots take pinv.
+        tall = dual_stack(effort_designs(slice(None), 5))
+        square, square_solved = _cholesky_factor(tall[:, :-2], stats._DUAL_PIVOT_RTOL)
+        lower, solved = _cholesky_factor(tall, stats._DUAL_PIVOT_RTOL)
+        assert lower[:, :-2].tobytes() == square.tobytes()
+        assert np.array_equal(solved, square_solved)
+        assert (~solved).any()
+        # Both dual decisions occur often, so agreement is not trivial.
+        assert min(outcomes.values()) > 2_000
 
     def test_extra_row_is_the_forward_substitution(self):
         rng = np.random.default_rng(18)
@@ -321,6 +349,21 @@ class TestCholeskyFactor:
             for k in range(40):
                 expected = np.linalg.solve(lower[k, :-1], design[k] @ response[k])
                 assert np.linalg.norm(lower[k, -1] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def every_minimum_norm_coefficient(design, response) -> tuple[np.ndarray, np.ndarray]:
+    """Every coefficient of a stack of n < p regressions, transposed designs
+    ``(r, p, n)`` and outcomes ``(r, n)``, from :func:`_stacked_least_squares`,
+    which solves the last one only: each column is moved last in turn.  Also
+    which regressions every solve solved."""
+    p = design.shape[1]
+    coef, solved = np.empty((len(design), p)), np.ones(len(design), dtype=bool)
+    for j in range(p):
+        order = [i for i in range(p) if i != j] + [j]
+        values = np.concatenate([design[:, order], response[:, None]], axis=1)
+        coef[:, j], ok = _stacked_least_squares(values)
+        solved &= ok
+    return coef, solved
 
 
 class TestStackedLeastSquares:
@@ -368,7 +411,7 @@ class TestStackedLeastSquares:
             )
             design[0, -1] = design[0, 1]  # the first design repeats a row when p > 2
             response = rng.standard_normal((30, n))
-            coef, solved = _stacked_least_squares(design, response)
+            coef, solved = every_minimum_norm_coefficient(design, response)
             assert solved.all()
             for k in range(30):
                 expected = np.linalg.lstsq(design[k].T, response[k], rcond=None)[0]
@@ -383,7 +426,7 @@ class TestStackedLeastSquares:
         design = np.concatenate([np.ones((20, 1, 3)), rng.standard_normal((20, 5, 3))], axis=1)
         design[:, 1:, 1] = design[:, 1:, 0] + 1e-9 * rng.standard_normal((20, 5))
         response = rng.standard_normal((20, 3))
-        coef, _ = _stacked_least_squares(design, response)
+        coef, _ = every_minimum_norm_coefficient(design, response)
         for k in range(20):
             expected = np.linalg.lstsq(design[k].T, response[k], rcond=None)[0]
             assert np.linalg.norm(expected) > 1e6
@@ -395,7 +438,7 @@ class TestStackedLeastSquares:
         # 0-3 get one inf, NaN, 1e200 or 1e308 entry.  Regression 4 gets two
         # columns at 1.3e154 in one row: each column's sum of squares is
         # finite, the design's total is not.  Regression 5 has a finite
-        # design but an infinite outcome, so its coefficients are not finite.
+        # design but an infinite outcome, so its coefficient is not finite.
         rng = np.random.default_rng(15)
         clean = np.concatenate([np.ones((12, 1, n)), rng.standard_normal((12, 5, n))], axis=1)
         response = rng.standard_normal((12, n))
@@ -420,7 +463,7 @@ class TestStackedLeastSquares:
 
         def solve(design, response):
             if n < 6:
-                return _stacked_least_squares(design, response)
+                return _stacked_least_squares(np.concatenate([design, response[:, None]], axis=1))
             return _last_coefficient(tall_moments(design, response))
 
         monkeypatch.setattr(np.linalg, "pinv", finite_only)
@@ -454,8 +497,9 @@ def effort_designs(points: slice, n: int) -> np.ndarray:
 
 
 class TestDualSolve:
-    """At n < p, :func:`_stacked_least_squares` solves XXt w = y and returns
-    b = Xt w, and takes ``pinv`` only where XXt fails the dual pivot rule."""
+    """At n < p, :func:`_stacked_least_squares` returns the last coefficient
+    of b = Xt (XXt)^-1 y, and takes ``pinv`` only where XXt fails the dual
+    pivot rule.  Each column is moved last in turn to check every coefficient."""
 
     def test_accepted_dual_solutions_match_lstsq_on_effort_model_designs(self, monkeypatch):
         values = effort_designs(slice(0, 108, 11), 5)
@@ -467,8 +511,9 @@ class TestDualSolve:
             return pinv(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "pinv", recorded)
-        coef, solved = _stacked_least_squares(values[:, :-1], values[:, -1])
+        coef, solved = every_minimum_norm_coefficient(values[:, :-1], values[:, -1])
         assert solved.all()
+        # A design matches only in its own column order, that of the last solve.
         fallback = {design.tobytes() for design in np.concatenate(fallbacks)}
         accepted = [k for k in range(len(values)) if values[k, :-1].tobytes() not in fallback]
         assert 1800 < len(accepted) < 2000  # both paths are taken
@@ -492,9 +537,13 @@ class TestDualSolve:
             return pinv(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "pinv", recorded)
-        coef, solved = _stacked_least_squares(design, response)
+        coef, solved = every_minimum_norm_coefficient(design, response)
         assert solved.all()
-        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], design[:1])
+        # One fallback per solve: the first design, its columns in that solve's order.
+        assert len(fallbacks) == 6
+        for j, fallback in enumerate(fallbacks):
+            order = [i for i in range(6) if i != j] + [j]
+            assert np.array_equal(fallback, design[:1, order])
         for k in range(8):
             expected = np.linalg.lstsq(design[k].T, response[k], rcond=None)[0]
             tolerance = 1e-10 if k == 0 else 1e-9
