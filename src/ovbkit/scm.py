@@ -680,7 +680,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
     """
     grid: dict[str, tuple[float, ...]] = {}
     fixed: dict[str, float] = {}
-    scalars: dict[str, str | list[str]] = {}
+    scalars: dict[str, str | list[str] | int | tuple[int, ...]] = {}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -700,6 +700,10 @@ def parse_sweep_config(text: str) -> SweepConfig:
             grid[key.split(".", 1)[1]] = tuple(_float(v, lineno) for v in value)
         elif key.startswith("param."):
             fixed[key.split(".", 1)[1]] = _float(value, lineno)
+        elif key == "n":
+            scalars[key] = tuple(_int(v, lineno, key) for v in value)
+        elif key in ("repetitions", "seed"):
+            scalars[key] = _int(value, lineno, key)
         else:
             scalars[key] = value
     known = {"n", "repetitions", "seed", "outcome", "predictors"}
@@ -709,21 +713,15 @@ def parse_sweep_config(text: str) -> SweepConfig:
     missing = known - set(scalars)
     if missing:
         raise ScmError(f"missing config key(s): {sorted(missing)}")
-    try:
-        sizes = tuple(int(v) for v in scalars["n"])
-        repetitions = int(scalars["repetitions"])
-        seed = int(scalars["seed"])
-    except ValueError as exc:
-        raise ScmError(f"bad integer in config: {exc}") from None
     return SweepConfig(
         template=team_effort_template(),
         grid=grid,
         fixed=fixed,
-        sample_sizes=sizes,
-        repetitions=repetitions,
+        sample_sizes=scalars["n"],
+        repetitions=scalars["repetitions"],
         outcome=scalars["outcome"],
         predictors=tuple(scalars["predictors"]),
-        seed=seed,
+        seed=scalars["seed"],
     )
 
 
@@ -735,6 +733,13 @@ def _float(value: str, lineno: int) -> float:
     if not math.isfinite(out):
         raise ScmError(f"config line {lineno}: values must be finite")
     return out
+
+
+def _int(value: str, lineno: int, key: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ScmError(f"config line {lineno}: not an integer in {key!r}: {value!r}") from None
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:

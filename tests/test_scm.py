@@ -270,7 +270,7 @@ class TestConfigParsing:
         [
             ("n = 5, 20", "bogus_key = 1"),           # unknown key
             ("grid.t_e = 0.3", "grid.t_e ="),         # empty list
-            ("seed = 99", "seed = soon"),             # bad int
+            ("seed = 99", "seed = soon", "config line 15: not an integer in 'seed': 'soon'"),
             ("grid.t_e = 0.3", "grid.nope = 0.3",     # unknown parameter
              r"unknown parameter\(s\): \['nope'\]"),
             ("param.s_t = -0.1", "", r"unbound parameter\(s\): \['s_t'\]"),  # not covered
@@ -292,6 +292,9 @@ class TestConfigParsing:
             ("seed = 99", "seed 99", "config line 15: expected 'key = value'"),
             ("outcome = E", "outcome = Q", "unknown node 'Q'"),
             ("predictors = T, B, K, O, S", "predictors = T, Q", "unknown node 'Q'"),
+            ("n = 5, 20", "n = 5, x", "config line 13: not an integer in 'n': 'x'"),
+            ("repetitions = 40", "repetitions = 2.5",
+             "config line 14: not an integer in 'repetitions': '2.5'"),
         ],
     )
     def test_invalid_configs(self, mutation):
@@ -853,6 +856,99 @@ class TestCommonRandomNumbers:
                                  predictors=predictors, seed=seed)
             with pytest.MonkeyPatch.context() as patch:
                 check_shared_draw_against_lstsq(patch, config, tolerance)
+
+
+# Tolerances of the exact relations below, relative to 1 + |b_T|: R1, R2
+# from n = p on, and R2 below p.  Each is about ten times the worst error
+# measured when they were set, on table5.conf's three sizes and on 3,000
+# random models (whose designs come nearer the pivot cutoff).  They do not move.
+TABLE5_TOLERANCES = (1e-13, 1e-13, 1e-11)  # worst 7.9e-15, 1.5e-14, 3.1e-13
+RANDOM_MODEL_TOLERANCES = (1e-11, 1e-11, 1e-10)  # worst 1.7e-12, 1.4e-12, 9.1e-12
+
+
+def relation_errors(config, linear, shifted, base):
+    """Per sample size of ``config``, the worst errors of two exact relations
+    of least squares on one :func:`_grid_estimates` call, relative to
+    1 + |b_T|.  Both hold on every draw.  Every pair of grid points compared
+    shares its design, so its repetitions are solved on the same draws; below
+    p every repetition must be solved on its first.
+
+    R1: b_T is linear in the outcome row, so at fixed other grid values, b_T at
+    ``linear`` = v is the affine interpolation of b_T at v = -0.5 and 0.5.
+    R2: b_T at ``shifted`` = v, less b_T at v = ``base``, is (v - base)
+    times [X⁺X]_TT: a shift of the outcome by a multiple of the treatment's
+    column moves the minimum-norm solution by that multiple of the column's
+    projection onto the row space of X.  From n = p on, X⁺X is the identity.
+    """
+    points = [dict(zip(config.grid_names, point)) for point in config.grid_points()]
+    specs = [config.template.bind({**config.fixed, **params}) for params in points]
+    lifts = np.stack([_lift(_noise_map(spec)[0], config.outcome, config.predictors)
+                      for spec in specs])
+    parameters = lifts.shape[1] - 1
+    errors = {}
+    for si, n in enumerate(config.sample_sizes):
+        estimates, solved = _grid_estimates(specs[0], lifts, n, config.repetitions, (config.seed, si))
+        assert solved.all() if n < parameters else solved.mean() > 0.5
+        estimates = np.where(solved, estimates, np.nan)
+        b = {tuple(params.items()): estimates[i] for i, params in enumerate(points)}
+
+        def at(params, name, value):
+            return b[tuple({**params, name: value}.items())]
+
+        linearity = max(
+            np.nanmax(np.abs(b_v - (low + (params[linear] + 0.5) * (high - low))) / (1 + np.abs(b_v)))
+            for params, b_v in zip(points, estimates)
+            for low, high in [(at(params, linear, -0.5), at(params, linear, 0.5))]
+        )
+        projection = {}  # [X⁺X]_TT of each repetition, per design
+        if n < parameters:
+            noise = _draw_noise(specs[0], (config.repetitions, n), _rng_from((config.seed, si, 0, 0)))
+            for design in lifts[:, :-1]:
+                if design.tobytes() not in projection:
+                    projection[design.tobytes()] = np.array([
+                        np.linalg.lstsq(x, x[:, -1], rcond=None)[0][-1] for x in noise @ design.T
+                    ])
+        shifted_error = max(
+            np.nanmax(np.abs(b_v - b_base - (params[shifted] - base) * shift) / (1 + np.abs(b_base)))
+            for lift, params, b_v in zip(lifts, points, estimates)
+            for b_base, shift in [(at(params, shifted, base), projection.get(lift[:-1].tobytes(), 1.0))]
+        )
+        errors[n] = (linearity, shifted_error)
+    return errors
+
+
+class TestExactRelations:
+    """Metamorphic relations of least squares (Chen, Cheung & Yiu,
+    HKUST-CS98-01, 1998; Segura et al., IEEE TSE 42(9), 2016), exact on every
+    draw and at every size.  They catch an estimate written to another grid
+    point's place, or an outcome solved against the wrong design, which the
+    statistical tests of the law are blind to."""
+
+    def test_table5_obeys_the_relations_on_every_draw(self):
+        from ovbkit.fixtures import fixture_text
+
+        config = parse_sweep_config(fixture_text("table5.conf"))
+        linear, shifted, projected = TABLE5_TOLERANCES
+        errors = relation_errors(config, "z_e", "t_e", 0.1)
+        assert list(errors) == [5, 10, 50]
+        for n, (linearity, shift) in errors.items():
+            assert linearity <= linear, n
+            assert shift <= (projected if n < 6 else shifted), n
+
+    @settings(max_examples=15, deadline=None)
+    @given(model=small_models(), seed=st.integers(0, 2**32 - 1))
+    def test_random_models_obey_the_relations_on_every_draw(self, model, seed):
+        # The grid moves only the outcome's weight w on the treatment, so w
+        # is both the linear and the shifted parameter.
+        template, outcome, predictors = model
+        config = SweepConfig(template=template, grid={"w": (-0.5, 0.5, -1.3, 0.2, 1.7)},
+                             fixed={}, sample_sizes=(5, 10), repetitions=40, outcome=outcome,
+                             predictors=predictors, seed=seed)
+        linear, shifted, projected = RANDOM_MODEL_TOLERANCES
+        (linear5, shift5), (linear10, shift10) = relation_errors(config, "w", "w", -0.5).values()
+        assert max(linear5, linear10) <= linear
+        assert shift5 <= projected
+        assert shift10 <= shifted
 
 
 # Every edge weight of the effort model away from the others, so that no
