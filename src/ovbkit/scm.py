@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from .dag import CausalDag
-from .stats import Dataset, Interval, _last_coefficient, _stacked_least_squares, hpdi
+from .stats import Dataset, Interval, _tracked_coefficients, hpdi
 
 __all__ = [
     "BernoulliExogenous",
@@ -61,8 +61,8 @@ _MAX_DRAW_ATTEMPTS = 4  # one draw plus up to three redraws per repetition
 # exact count: below p parameters it draws n noise rows, else a Gram from the
 # 2**k_b pattern rows and k_g Bartlett rows.  The block size decides which
 # repetitions share a random stream, so changing it changes every simulate CSV.
-# Grid points are solved on a draw in chunks of at least one, with grid points
-# x repetitions in the block x values per repetition within the same bound.
+# A draw solves a design's outcome rows in chunks of at least one, with outcome
+# rows x repetitions in the block x values per repetition within the same bound.
 _BLOCK_VALUES = 2**17
 _MAX_SAMPLE_SIZE = 2**63 - 1  # numpy draws pattern counts as 64-bit integers
 _CELL_COLUMNS = ("n", "mean", "l50", "u50", "l95", "u95", "failures")
@@ -427,9 +427,11 @@ def _grid_estimates(
     they share.  Repetitions are drawn a block at a time, and each draw
     serves every grid point (common random numbers).  A block with n at
     least the number p of regression parameters draws each repetition's Gram
-    matrix of the noise (see :func:`_draw_grams`) for :func:`_gram_estimates`;
-    one with n < p draws its n noise rows (see :func:`_draw_noise`) for the
-    minimum-norm solve of :func:`_row_estimates`.
+    matrix of the noise (see :func:`_draw_grams`); one with n < p draws its
+    n noise rows (see :func:`_draw_noise`) for the minimum-norm solve.  Grid
+    points whose predictor rows are equal share a design, and
+    :func:`~ovbkit.stats._tracked_coefficients` solves each design once per
+    draw for all of their outcome rows.
     Attempt a of a block draws the whole block from the seed
     ``(*entropy, block start, a)``, and a repetition keeps its index in the
     block as its slot in every draw.  The (grid point, repetition) pairs left
@@ -439,30 +441,36 @@ def _grid_estimates(
     """
     _, p, gaussians = _noise_map(spec)
     parameters = lifts.shape[1] - 1  # the intercept and the predictors
+    designs: dict[bytes, list[int]] = {}  # grid points by their predictor rows, first seen first
+    for point, lift in enumerate(lifts):
+        designs.setdefault(lift[:-1].tobytes(), []).append(point)
     width = min(n, 2**p.size + gaussians)
     block = max(1, _BLOCK_VALUES // width)
     estimates = np.zeros((len(lifts), repetitions))
     solved = np.zeros((len(lifts), repetitions), dtype=bool)
     for start in range(0, repetitions, block):
         size = min(block, repetitions - start)
-        chunk = max(1, _BLOCK_VALUES // (size * width))  # grid points solved at once
+        chunk = max(1, _BLOCK_VALUES // (size * width))  # a design's outcome rows solved at once
         for attempt in range(_MAX_DRAW_ATTEMPTS):
             pending = ~solved[:, start:start + size]
             if not pending.any():
                 break
             rng = _rng_from((*entropy, start, attempt))
             if n < parameters:
-                draw, estimate = _draw_noise(spec, (size, n), rng), _row_estimates
+                draw = _draw_noise(spec, (size, n), rng)
             else:
-                draw, estimate = _draw_grams(p, gaussians, n, size, rng), _gram_estimates
-            for first in range(0, len(lifts), chunk):
-                points, reps = np.nonzero(pending[first:first + chunk])
-                if not points.size:
-                    continue
-                points += first
-                coef, ok = estimate(lifts[points], draw[reps])
-                estimates[points[ok], start + reps[ok]] = coef[ok]
-                solved[points[ok], start + reps[ok]] = True
+                draw = _draw_grams(p, gaussians, n, size, rng)
+            for group in designs.values():
+                for first in range(0, len(group), chunk):
+                    points = group[first:first + chunk]
+                    reps = np.flatnonzero(pending[points].any(axis=0))
+                    if not reps.size:
+                        continue
+                    coef, ok = _tracked_coefficients(lifts[points[0], :-1], lifts[points, -1], draw[reps])
+                    cells = np.ix_(points, start + reps)
+                    ok = ok.T & pending[np.ix_(points, reps)]
+                    estimates[cells] = np.where(ok, coef.T, estimates[cells])
+                    solved[cells] |= ok
             del draw  # freed before the next attempt makes its own
     return estimates, solved
 
@@ -589,31 +597,6 @@ def _draw_grams(
     grams[:, b:, :b] = grams[:, :b, b:].transpose(0, 2, 1)
     grams[:, b:, b:] = scatter.transpose(0, 2, 1) @ scatter
     return grams
-
-
-def _gram_estimates(lift: np.ndarray, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tracked predictor's coefficient from each noise Gram G, and which were solved.
-
-    ``lift`` is one :func:`_lift` for every Gram, or one per Gram.  With D
-    its intercept and predictor rows, lift·G·Dᵀ stacks a regression's XᵀX =
-    D·G·Dᵀ over its yᵀX, whose factor gives the last, tracked coefficient.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = lift @ grams @ lift[..., :-1, :].swapaxes(-1, -2)
-    return _last_coefficient(moments)
-
-
-def _row_estimates(lift: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tracked predictor's coefficient from each repetition's noise rows,
-    shape ``(r, n, d)``, and which :func:`_stacked_least_squares` solved.
-
-    ``lift`` is one :func:`_lift` for every repetition, or one per
-    repetition.  A repetition's design and outcome are its rows u·liftᵀ, fewer
-    rows than parameters; one that overflows is left unsolved.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = lift @ noise.transpose(0, 2, 1)  # (r, p + 1, n): the rows' transpose
-    return _stacked_least_squares(values)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

@@ -5,9 +5,10 @@ errors.  Every normal-equations solve, a single ``fit`` or a sweep's whole
 stack of small regressions, goes through one vectorised Cholesky
 factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
 diagonal entry of XtX counts as rank deficiency.  A sweep solves only the
-last coefficient of each regression, off one tall factor: of XtX over ytX, or,
-with fewer rows than parameters, of XXt over yt and that column's xt at a cutoff
-of 1e-5, for the minimum-norm solution.
+last coefficient of each regression, and solves every outcome of one design
+off one tall factor per draw: of XtX over the rows ytX, or, with fewer rows
+than parameters, of XXt over that column's xt and the rows yt at a cutoff of
+1e-5, for the minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -242,41 +243,51 @@ def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np
     return _cholesky_substitute(lower, moment[None])[0], lower[0]
 
 
-def _stacked_least_squares(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The last minimum-norm least-squares coefficient of a stack of regressions, and which were solved.
+def _tracked_coefficients(
+    design: np.ndarray, outcomes: np.ndarray, draw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The last coefficient of one design's regression of each of k outcomes on each of r draws,
+    shape ``(r, k)``, and which were solved.
 
-    ``values`` stacks each regression's transposed design over its outcome, ``(r, p + 1, n)``,
-    n < p.  Its b_p = x_pt (XXt)^-1 y is (L^-1 y)·(L^-1 x_p) from the tall factor of XXt over
-    yt and x_pt, at the stricter dual cutoff; a system failing that pivot rule takes the last
-    row of X's ``pinv``, at ``lstsq``'s singular-value cutoff, times y.  A regression whose
-    sum of squares overflows, or whose coefficient is not finite, is unsolved.
+    ``design`` holds the p predictor rows, the tracked one last, and ``outcomes`` the k outcome
+    rows, ``(p, d)`` and ``(k, d)``; each row maps a sample's noise u to a value.  ``draw`` stacks
+    r noise Grams G ``(r, d, d)``, or r sets of n < p noise rows U ``(r, n, d)``.  The k outcomes
+    share each draw's one tall factor, as many right-hand sides share one Cholesky factor (Golub
+    & Van Loan, *Matrix Computations*, 4th ed., §4.2).  From a Gram, [D; Y]·G·Dᵀ is XᵀX over the
+    rows y_iᵀX, whose factor is L over the rows z_iᵀ, and b_i = z_i,T / L_TT.  From rows, X = U·Dᵀ
+    and the minimum-norm b_i = (L⁻¹x_T)·(L⁻¹y_i) come off the factor of XXᵀ over x_Tᵀ and the y_iᵀ
+    at the stricter dual cutoff; a draw failing it takes the last row of X's ``pinv``, at
+    ``lstsq``'s singular-value cutoff, for all k.  A draw whose design's sum of squares overflows
+    leaves all k unsolved, and one whose design and outcome together overflow leaves that outcome
+    unsolved.  A Gram failing the pivot rule, or a coefficient that is not finite, is unsolved.
     """
+    p = len(design)
     with np.errstate(over="ignore", invalid="ignore"):
-        # LAPACK's SVD may never return on inf or NaN, so such regressions
-        # are zeroed before any solve; their XXt then fails every pivot.
-        solved = np.isfinite(np.einsum("rin,rin->r", values, values))
-        if not solved.all():
-            values = np.where(solved[:, None, None], values, 0.0)
-        design = values[:, :-1]
-        tall = np.concatenate([design.transpose(0, 2, 1) @ design, values[:, [-1, -2]]], axis=1)
+        if draw.shape[1] >= p:  # Grams
+            lower, solved = _cholesky_factor(np.concatenate([design, outcomes]) @ draw @ design.T)
+            coef = lower[:, p:, -1] / lower[:, p - 1, -1, None]
+            return coef, solved[:, None] & np.isfinite(coef)
+        # Each outcome is lifted under its own copy of the design, so every
+        # product has p + 1 rows whatever k is: at n = 1 a stacked matmul is a
+        # BLAS matrix-vector call, whose rounding depends on its number of rows.
+        lifts = np.concatenate([np.broadcast_to(design, (len(outcomes), *design.shape)),
+                                outcomes[:, None]], axis=1)
+        values = lifts[:, None] @ draw.transpose(0, 2, 1)  # (k, r, p + 1, n): the rows' transpose
+        x, y = values[0, :, :p], values[:, :, p].swapaxes(0, 1)  # Xt (r, p, n), the y_it (r, k, n)
+        design_squares = np.einsum("rin,rin->r", x, x)
+        solved = np.isfinite(design_squares[:, None] + np.einsum("rkn,rkn->rk", y, y))
+        # LAPACK's SVD may never return on inf or NaN, so such values are
+        # zeroed before any solve; a zeroed XXt then fails every pivot.
+        x = np.where(np.isfinite(design_squares)[:, None, None], x, 0.0)
+        y = np.where(solved[..., None], y, 0.0)
+        n = draw.shape[1]
+        tall = np.concatenate([x.transpose(0, 2, 1) @ x, x[:, -1:], y], axis=1)
         lower, dual = _cholesky_factor(tall, _DUAL_PIVOT_RTOL)
-        coef = np.einsum("rn,rn->r", lower[:, -2], lower[:, -1])
-        fallback = solved & ~dual
+        coef = np.einsum("rkn,rn->rk", lower[:, n + 1:], lower[:, n])
+        fallback = np.isfinite(design_squares) & ~dual
         if fallback.any():
-            pinv = np.linalg.pinv(design[fallback], rcond=max(design.shape[1:]) * np.finfo(float).eps)
-            coef[fallback] = np.einsum("rn,rn->r", pinv[:, :, -1], values[fallback, -1])
-    return coef, solved & np.isfinite(coef)
-
-
-def _last_coefficient(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The last coefficient z_p / L_pp of a stack of normal equations, and which were solved.
-
-    ``moments`` stacks XtX over ytX, ``(r, p + 1, p)``, whose tall factor is L over zt (L z = Xty);
-    a system failing the pivot rule or giving a non-finite coefficient is unsolved.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower, solved = _cholesky_factor(moments)
-        coef = lower[:, -1, -1] / lower[:, -2, -1]
+            pinv = np.linalg.pinv(x[fallback], rcond=max(p, n) * np.finfo(float).eps)
+            coef[fallback] = np.einsum("rn,rkn->rk", pinv[:, :, -1], y[fallback])
     return coef, solved & np.isfinite(coef)
 
 

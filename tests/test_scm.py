@@ -37,13 +37,12 @@ from ovbkit.scm import (
 from ovbkit.scm import (
     _draw_grams,
     _draw_noise,
-    _gram_estimates,
     _grid_estimates,
     _lift,
     _noise_map,
     _rng_from,
 )
-from ovbkit.stats import StatsError
+from ovbkit.stats import StatsError, _tracked_coefficients
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -391,26 +390,35 @@ class TestSweep:
         assert all(cell.failed or np.isfinite(cell.mean) for cell in result.cells)
 
     def test_table5_takes_the_pinv_fallbacks_the_readme_quotes(self, monkeypatch):
-        # Each n = 5 repetition of table5.conf is one dual solve, and a
-        # repetition whose XXt fails the dual pivot rule is one pinv row.
+        # Each n = 5 draw of one of table5.conf's 6 designs is one dual solve
+        # for the 18 grid points that share the design.  A draw whose XXt
+        # fails the dual pivot rule is one pinv row, which serves all 18.
         from ovbkit.fixtures import fixture_text
 
-        pinv, rows = np.linalg.pinv, []
+        pinv, kernel, designs, served = np.linalg.pinv, scm._tracked_coefficients, [], []
 
         def recorded(design, *args, **kwargs):
-            rows.append(len(design))
+            designs.append(len(design))
             return pinv(design, *args, **kwargs)
 
+        def solve(design, outcomes, draw):
+            before = sum(designs)
+            coef, solved = kernel(design, outcomes, draw)
+            served.append((sum(designs) - before) * len(outcomes))
+            return coef, solved
+
         monkeypatch.setattr(np.linalg, "pinv", recorded)
+        monkeypatch.setattr(scm, "_tracked_coefficients", solve)
         config = parse_sweep_config(fixture_text("table5.conf"))
         result = run_sweep(config)
         assert all(cell.failures == 0 for cell in result.cells)
+        assert (sum(designs), len(designs)) == (42, 6)
         draws = len(config.grid_points()) * config.repetitions
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        quoted = re.search(r"([\d,]+) of the ([\d,]+) n = 5 draws of `table5\.conf`",
+        quoted = re.search(r"([\d,]+) of the ([\d,]+) n = 5 regressions of `table5\.conf`",
                            re.sub(r"\s+", " ", readme))
         assert quoted is not None
-        assert (f"{sum(rows):,}", f"{draws:,}") == quoted.groups() == ("756", "21,600")
+        assert (f"{sum(served):,}", f"{draws:,}") == quoted.groups() == ("756", "21,600")
 
     def test_all_degenerate_draws_fail_the_cell(self):
         # A constant exogenous flag is always collinear with the intercept,
@@ -534,6 +542,12 @@ def cell_estimates(spec, n, outcome, predictors, repetitions, entropy):
     return estimates[0, solved[0]], repetitions - int(solved.sum())
 
 
+def gram_coefficients(lift: np.ndarray, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One grid point's tracked coefficient on each noise Gram, and which were solved."""
+    coef, solved = _tracked_coefficients(lift[:-1], lift[-1:], grams)
+    return coef[:, 0], solved[:, 0]
+
+
 def effort_spec() -> ScmSpec:
     config = parse_sweep_config(SMALL_CONFIG)
     return config.template.bind({**config.fixed, "t_e": 0.3, "z_e": 0.5, "z_t": 0.5})
@@ -593,14 +607,14 @@ class TestGramDraws:
         rows, p, gaussians = _noise_map(effort_spec())
         lift = _lift(rows, "E", EFFORT_PREDICTORS)
         grams = _draw_grams(p, gaussians, n, reps, _rng_from((3, n)))
-        drawn, drawn_ok = _gram_estimates(lift, grams)
+        drawn, drawn_ok = gram_coefficients(lift, grams)
         rng = np.random.default_rng(n)
         chunk = max(1, 2**18 // n)  # sampled rows of a large n fit in memory a chunk at a time
         sampled = np.concatenate([
             row_sampled_grams(p, gaussians, n, min(chunk, reps - start), rng)
             for start in range(0, reps, chunk)
         ])
-        oracle, oracle_ok = _gram_estimates(lift, sampled)
+        oracle, oracle_ok = gram_coefficients(lift, sampled)
         a, b = drawn[drawn_ok], oracle[oracle_ok]
         assert ks_statistic(a, b) < ks_critical(a.size, b.size, 0.001)
 
@@ -643,7 +657,7 @@ class TestGramDraws:
             reps, failed = 0, 0
             for seed in range(10):
                 grams = _draw_grams(p, gaussians, n, 20_000, _rng_from((7, seed)))
-                _, solved = _gram_estimates(lift, grams)
+                _, solved = gram_coefficients(lift, grams)
                 reps, failed = reps + solved.size, failed + int((~solved).sum())
             assert abs(failed / reps - exact) <= 4 * math.sqrt(exact * (1 - exact) / reps)
 
@@ -674,17 +688,18 @@ class TestGramDraws:
         # The effort regression has p = 6 parameters: n = 5 is solved from
         # its rows, and every n from 6 on from a drawn Gram.
         row_sizes, gram_sizes = set(), set()
-        stacked, draw_grams = scm._stacked_least_squares, scm._draw_grams
+        kernel, draw_grams = scm._tracked_coefficients, scm._draw_grams
 
-        def row_solve(values):
-            row_sizes.add(values.shape[-1])
-            return stacked(values)
+        def solve(design, outcomes, draw):
+            if draw.shape[1] < len(design):  # fewer noise rows than parameters
+                row_sizes.add(draw.shape[1])
+            return kernel(design, outcomes, draw)
 
         def recorded(p, gaussians, n, r, rng):
             gram_sizes.add(n)
             return draw_grams(p, gaussians, n, r, rng)
 
-        monkeypatch.setattr(scm, "_stacked_least_squares", row_solve)
+        monkeypatch.setattr(scm, "_tracked_coefficients", solve)
         monkeypatch.setattr(scm, "_draw_grams", recorded)
         run_sweep(parse_sweep_config(SMALL_CONFIG.replace("n = 5, 20", "n = 5, 6, 10, 11, 12")))
         assert row_sizes == {5}
@@ -710,47 +725,48 @@ def csv_rows_by_cell(result) -> dict[tuple[str, ...], str]:
 
 
 def recorded_solves(patch, config) -> list[tuple]:
-    """Run ``config``; the kind (``"rows"`` or ``"gram"``), lifts, draws (noise
-    rows or Grams), coefficients and solved flags of every batched solve, in
-    call order."""
-    calls = []
+    """Run ``config``; the design, outcome rows, draws (noise rows or Grams),
+    coefficients and solved flags of every call to the one solve, in call order."""
+    calls, kernel = [], scm._tracked_coefficients
 
-    def recorder(kind, estimate):
-        def solve(lift, draw):
-            coef, solved = estimate(lift, draw)
-            calls.append((kind, lift, draw, coef, solved))
-            return coef, solved
-        return solve
+    def solve(design, outcomes, draw):
+        coef, solved = kernel(design, outcomes, draw)
+        calls.append((design, outcomes, draw, coef, solved))
+        return coef, solved
 
-    patch.setattr(scm, "_row_estimates", recorder("rows", scm._row_estimates))
-    patch.setattr(scm, "_gram_estimates", recorder("gram", scm._gram_estimates))
+    patch.setattr(scm, "_tracked_coefficients", solve)
     run_sweep(config)
     return calls
 
 
 def check_shared_draw_against_lstsq(patch, config, tolerance) -> int:
-    """The sweep's first solve holds every (grid point, repetition) pair on
-    one shared draw, and every solved pair of every solve has the tracked
-    coefficient that LAPACK gives, to ``tolerance`` relative to the norm of
-    its coefficients: per-design ``lstsq`` on the rows U·liftᵀ of a row
-    draw, or ``solve`` of the normal equations lift·G·liftᵀ of a Gram draw
-    G.  Returns the number of pairs checked."""
+    """The sweep's first draw holds every repetition and serves every grid
+    point, one solve per design, and every solved (repetition, outcome) of
+    every solve has the tracked coefficient that LAPACK gives, to ``tolerance``
+    relative to the norm of its coefficients: ``lstsq`` on the rows U·liftᵀ of
+    a row draw, or ``solve`` of the normal equations lift·G·liftᵀ of a Gram
+    draw G, where lift is the design over the outcome row.  Returns the number
+    of coefficients checked."""
     calls = recorded_solves(patch, config)
-    _, lift, draw, _, _ = calls[0]
-    points, repetitions = len(config.grid_points()), config.repetitions
-    assert len(draw) == points * repetitions
-    assert len(np.unique(lift.reshape(len(lift), -1), axis=0)) == points
-    assert len(np.unique(draw.reshape(len(draw), -1), axis=0)) == repetitions
+    draw = calls[0][2]
+    first = [call for call in calls if call[2].shape == draw.shape and np.array_equal(call[2], draw)]
+    assert len(draw) == config.repetitions
+    assert len(np.unique(draw.reshape(len(draw), -1), axis=0)) == config.repetitions
+    lifts = {np.vstack([design, outcome]).tobytes()
+             for design, outcomes, *_ in first for outcome in outcomes}
+    assert len({design.tobytes() for design, *_ in first}) == len(first)
+    assert len(lifts) == sum(len(outcomes) for _, outcomes, *_ in first) == len(config.grid_points())
     checked = 0
-    for kind, lift, draw, coef, solved in calls:
-        for k in np.flatnonzero(solved):
-            if kind == "rows":
-                values = draw[k] @ lift[k].T
+    for design, outcomes, draw, coef, solved in calls:
+        for k, i in zip(*np.nonzero(solved)):
+            lift = np.vstack([design, outcomes[i]])
+            if len(draw[k]) < len(design):  # fewer noise rows than parameters
+                values = draw[k] @ lift.T
                 expected = np.linalg.lstsq(values[:, :-1], values[:, -1], rcond=None)[0]
             else:
-                moments = lift[k] @ draw[k] @ lift[k].T
+                moments = lift @ draw[k] @ lift.T
                 expected = np.linalg.solve(moments[:-1, :-1], moments[:-1, -1])
-            assert abs(coef[k] - expected[-1]) <= tolerance * np.linalg.norm(expected)
+            assert abs(coef[k, i] - expected[-1]) <= tolerance * np.linalg.norm(expected)
             checked += 1
     return checked
 
@@ -792,13 +808,17 @@ class TestCommonRandomNumbers:
         ("grid.z_t = 0.1", "grid.z_t = 0.1, -0.4"),
         ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.5, 0.1"),
         ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.5"),
-    ], ids=["grid-value-added", "grid-values-reordered", "one-grid-point-alone"])
+        ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.1, 0.5, 1e308"),
+    ], ids=["grid-value-added", "grid-values-reordered", "one-grid-point-alone",
+            "overflowing-outcome-added"])
     def test_a_cell_is_the_same_whatever_the_other_grid_points(
         self, monkeypatch, block_values, old, new
     ):
-        # At 1000 values a block holds all 40 repetitions and a chunk two
-        # grid points; at 64 a block holds 5 to 12 repetitions and a chunk
-        # one grid point.
+        # At 1000 values a block holds all 40 repetitions and a chunk two of a
+        # design's outcome rows from n = 10 on; at 64 a block holds 5 to 12
+        # repetitions and a chunk one outcome row.  An outcome row at
+        # z_e = 1e308 overflows on every draw, and leaves unsolved only its own
+        # grid point, which shares its design with the other two.
         monkeypatch.setattr(scm, "_BLOCK_VALUES", block_values)
         text = SMALL_CONFIG.replace("n = 5, 20", "n = 5, 10, 50")
         base = csv_rows_by_cell(run_sweep(parse_sweep_config(text)))
@@ -808,20 +828,63 @@ class TestCommonRandomNumbers:
         assert all(other[key] == base[key] for key in shared)
 
     def test_a_chunk_of_grid_points_stays_within_the_block_bound(self, monkeypatch):
-        # At 1000 values a block holds all 40 repetitions, and a chunk as
-        # many of the four grid points as keep grid points x repetitions x
-        # min(n, 12) values within the bound: all four at n = 5, two from n = 10 on.
+        # Two designs (z_t), each with three outcome rows (z_e).  At 1000
+        # values a block holds all 40 repetitions, and a chunk as many of a
+        # design's outcome rows as keep outcome rows x repetitions x
+        # min(n, 12) values within the bound: all three at n = 5, two from
+        # n = 10 on.
         monkeypatch.setattr(scm, "_BLOCK_VALUES", 1000)
         text = SMALL_CONFIG.replace("grid.z_t = 0.1", "grid.z_t = 0.1, -0.4") \
+                           .replace("grid.z_e = 0.1, 0.5", "grid.z_e = 0.1, 0.5, -0.3") \
                            .replace("n = 5, 20", "n = 5, 10, 50")
-        largest = {}
-        for kind, lift, draw, _, _ in recorded_solves(monkeypatch, parse_sweep_config(text)):
-            n = draw.shape[1] if kind == "rows" else int(draw[0, 0, 0])  # a Gram's [0, 0] is n
-            points = len(np.unique(lift.reshape(len(lift), -1), axis=0))
+        largest, rows = {}, {}
+        for design, outcomes, draw, _, _ in recorded_solves(monkeypatch, parse_sweep_config(text)):
+            # A Gram's [0, 0] is n.
+            n = draw.shape[1] if draw.shape[1] < len(design) else int(draw[0, 0, 0])
             repetitions = len(np.unique(draw.reshape(len(draw), -1), axis=0))
-            assert points * repetitions * min(n, 12) <= 1000
-            largest[n] = max(largest.get(n, 0), points)
-        assert largest == {5: 4, 10: 2, 50: 2}
+            assert len(outcomes) * repetitions * min(n, 12) <= 1000
+            largest[n] = max(largest.get(n, 0), len(outcomes))
+            rows.setdefault((n, design.tobytes()), set()).update(map(bytes, outcomes))
+        assert largest == {5: 3, 10: 2, 50: 2}
+        assert sorted(len(outcomes) for outcomes in rows.values()) == [3] * 6
+
+    def test_table5_factors_each_design_once_per_draw(self, monkeypatch):
+        # table5.conf's 108 grid points share 6 designs, one per z_t, each
+        # with 18 outcome rows.  Each solve makes one factor call, of one
+        # design with its outcome rows below it, and each draw (size index,
+        # block start, attempt) solves each design at most once.
+        from ovbkit.fixtures import fixture_text
+
+        factor, kernel, rng_from = stats._cholesky_factor, scm._tracked_coefficients, scm._rng_from
+        seeds, factors, calls = [], [], []
+
+        def recorded_rng(entropy):
+            seeds.append(entropy)
+            return rng_from(entropy)
+
+        def recorded_factor(tall, *args):
+            factors.append(tall.shape)
+            return factor(tall, *args)
+
+        def solve(design, outcomes, draw):
+            before = len(factors)
+            coef, solved = kernel(design, outcomes, draw)
+            calls.append((seeds[-1], design.tobytes(), len(outcomes), draw.shape, factors[before:]))
+            return coef, solved
+
+        monkeypatch.setattr(scm, "_rng_from", recorded_rng)
+        monkeypatch.setattr(stats, "_cholesky_factor", recorded_factor)
+        monkeypatch.setattr(scm, "_tracked_coefficients", solve)
+        run_sweep(parse_sweep_config(fixture_text("table5.conf")))
+        assert len(factors) == len(calls) == 24
+        for _, _, outcomes, (r, rows, _), shapes in calls:
+            assert outcomes == 18
+            # From a Gram, XtX over ytX; from n < 6 rows, XXt over xt and yt.
+            assert shapes == [(r, 6 + outcomes, 6) if rows > 6 else (r, rows + 1 + outcomes, rows)]
+        per_draw = {(seed, design) for seed, design, *_ in calls}
+        assert len(per_draw) == len(calls)
+        for size in range(3):
+            assert len({design for seed, design, *_ in calls if seed[1] == size}) == 6
 
     def test_a_draw_seed_names_no_grid_point(self, monkeypatch):
         seeds, rng_from = [], scm._rng_from
@@ -982,7 +1045,7 @@ class TestClosedFormLaw:
         rows, p, gaussians = _noise_map(self.spec)
         lift = _lift(rows, "E", EFFORT_PREDICTORS)
         grams = _draw_grams(p, gaussians, n, LAW_DRAWS, _rng_from((17, n)))
-        coef, solved = _gram_estimates(lift, grams)
+        coef, solved = gram_coefficients(lift, grams)
         design = lift[:self.p]
         z = treatment_z_scores(design @ grams[solved] @ design.T, coef[solved], *self.law)
         assert ks_against_standard_normal(z) < ks_critical_one_sample(z.size, 0.001)

@@ -16,8 +16,7 @@ from ovbkit.stats import (
     RankDeficiencyError,
     StatsError,
     _cholesky_factor,
-    _last_coefficient,
-    _stacked_least_squares,
+    _tracked_coefficients,
     hpdi,
     ols_fit,
     parse_csv_bytes,
@@ -296,6 +295,21 @@ def tall_moments(design: np.ndarray, response: np.ndarray) -> np.ndarray:
         return np.einsum("rin,rjn->rij", values, design)
 
 
+def tracked_coefficient(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last coefficient of each regression of a stack, transposed designs
+    ``(r, p, n)`` and outcomes ``(r, n)``, from :func:`_tracked_coefficients`,
+    and which were solved.  Each regression's samples [x, y] are its noise rows,
+    lifted by identity rows to its design and outcome: from n = p on the kernel
+    reads them from their Gram, below p from the rows themselves."""
+    p, n = design.shape[1:]
+    samples = np.concatenate([design, response[:, None]], axis=1).transpose(0, 2, 1)
+    lift = np.eye(p + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        draw = samples if n < p else samples.transpose(0, 2, 1) @ samples
+    coef, solved = _tracked_coefficients(lift[:-1], lift[-1:], draw)
+    return coef[:, 0], solved[:, 0]
+
+
 def dual_stack(values: np.ndarray) -> np.ndarray:
     """XXt with yt and the last column's xt below it, shape ``(r, n + 2, n)``,
     of a stack of transposed designs over outcomes ``(r, p + 1, n)``."""
@@ -353,30 +367,28 @@ class TestCholeskyFactor:
 
 def every_minimum_norm_coefficient(design, response) -> tuple[np.ndarray, np.ndarray]:
     """Every coefficient of a stack of n < p regressions, transposed designs
-    ``(r, p, n)`` and outcomes ``(r, n)``, from :func:`_stacked_least_squares`,
+    ``(r, p, n)`` and outcomes ``(r, n)``, from :func:`tracked_coefficient`,
     which solves the last one only: each column is moved last in turn.  Also
     which regressions every solve solved."""
     p = design.shape[1]
     coef, solved = np.empty((len(design), p)), np.ones(len(design), dtype=bool)
     for j in range(p):
         order = [i for i in range(p) if i != j] + [j]
-        values = np.concatenate([design[:, order], response[:, None]], axis=1)
-        coef[:, j], ok = _stacked_least_squares(values)
+        coef[:, j], ok = tracked_coefficient(design[:, order], response)
         solved &= ok
     return coef, solved
 
 
 class TestStackedLeastSquares:
-    """The sweep's stacked solves: :func:`_last_coefficient` on normal
-    equations at n >= p, and the minimum-norm :func:`_stacked_least_squares`
-    at n < p."""
+    """The sweep's stacked solve, :func:`_tracked_coefficients`: from normal
+    equations at n >= p, and the minimum-norm solution at n < p."""
 
     def test_same_decision_as_solve_normal_equations(self):
         rng = np.random.default_rng(11)
         outcomes = {True: 0, False: 0}
         for (n, p), design in _near_collinear_stacks(rng).items():
             response = rng.standard_normal((len(design), n))
-            coef, solved = _last_coefficient(tall_moments(design, response))
+            coef, solved = tracked_coefficient(design, response)
             for k in range(len(design)):
                 expected = lapack_normal_equations(design[k].T, response[k]) is not None
                 assert solved[k] == expected, (n, p, k)
@@ -397,7 +409,7 @@ class TestStackedLeastSquares:
             coef = np.empty((40, p))
             for j in range(p):
                 order = [i for i in range(p) if i != j] + [j]
-                coef[:, j], solved = _last_coefficient(tall_moments(design[:, order], response))
+                coef[:, j], solved = tracked_coefficient(design[:, order], response)
                 assert solved.all()
             for k in range(40):
                 expected = lapack_normal_equations(design[k].T, response[k])
@@ -439,6 +451,8 @@ class TestStackedLeastSquares:
         # columns at 1.3e154 in one row: each column's sum of squares is
         # finite, the design's total is not.  Regression 5 has a finite
         # design but an infinite outcome, so its coefficient is not finite.
+        # Below p, regression 6 has an outcome entry at 1e200: only that
+        # outcome's own sum of squares overflows.
         rng = np.random.default_rng(15)
         clean = np.concatenate([np.ones((12, 1, n)), rng.standard_normal((12, 5, n))], axis=1)
         response = rng.standard_normal((12, n))
@@ -448,6 +462,9 @@ class TestStackedLeastSquares:
         design[4, 1:3, 1] = 1.3e154
         outcome = response.copy()
         outcome[5, 2] = np.inf
+        unsolved = 6
+        if n < 6:
+            outcome[6, 2], unsolved = 1e200, 7
         pinv, factor, designs, duals = np.linalg.pinv, stats._cholesky_factor, [], []
 
         def finite_only(a, *args, **kwargs):
@@ -461,23 +478,18 @@ class TestStackedLeastSquares:
                 duals.append(len(gram))
             return factor(gram, rtol)
 
-        def solve(design, response):
-            if n < 6:
-                return _stacked_least_squares(np.concatenate([design, response[:, None]], axis=1))
-            return _last_coefficient(tall_moments(design, response))
-
         monkeypatch.setattr(np.linalg, "pinv", finite_only)
         monkeypatch.setattr(stats, "_cholesky_factor", finite_dual)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            expected, expected_solved = solve(clean, response)
-            coef, solved = solve(design, outcome)
+            expected, expected_solved = tracked_coefficient(clean, response)
+            coef, solved = tracked_coefficient(design, outcome)
         assert duals == ([12, 12] if n < 6 else [])
         assert designs == []  # every finite design here passes the dual pivot rule
-        assert not solved[:6].any()
+        assert not solved[:unsolved].any()
         assert expected_solved.all()
-        assert solved[6:].all()
-        assert coef[6:].tobytes() == expected[6:].tobytes()
+        assert solved[unsolved:].all()
+        assert coef[unsolved:].tobytes() == expected[unsolved:].tobytes()
         assert np.isfinite(coef[solved]).all()
 
 
@@ -497,7 +509,7 @@ def effort_designs(points: slice, n: int) -> np.ndarray:
 
 
 class TestDualSolve:
-    """At n < p, :func:`_stacked_least_squares` returns the last coefficient
+    """At n < p, :func:`_tracked_coefficients` returns the last coefficient
     of b = Xt (XXt)^-1 y, and takes ``pinv`` only where XXt fails the dual
     pivot rule.  Each column is moved last in turn to check every coefficient."""
 
