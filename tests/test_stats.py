@@ -452,7 +452,9 @@ class TestStackedLeastSquares:
         # finite, the design's total is not.  Regression 5 has a finite
         # design but an infinite outcome, so its coefficient is not finite.
         # Below p, regression 6 has an outcome entry at 1e200: only that
-        # outcome's own sum of squares overflows.
+        # outcome's own sum of squares overflows.  Regression 7 has a design
+        # entry and an outcome entry at 1.2e154: each sum of squares is
+        # finite, that of the design and outcome together is not.
         rng = np.random.default_rng(15)
         clean = np.concatenate([np.ones((12, 1, n)), rng.standard_normal((12, 5, n))], axis=1)
         response = rng.standard_normal((12, n))
@@ -464,7 +466,8 @@ class TestStackedLeastSquares:
         outcome[5, 2] = np.inf
         unsolved = 6
         if n < 6:
-            outcome[6, 2], unsolved = 1e200, 7
+            outcome[6, 2], unsolved = 1e200, 8
+            design[7, 1, 3] = outcome[7, 3] = 1.2e154
         pinv, factor, designs, duals = np.linalg.pinv, stats._cholesky_factor, [], []
 
         def finite_only(a, *args, **kwargs):
@@ -485,7 +488,8 @@ class TestStackedLeastSquares:
             expected, expected_solved = tracked_coefficient(clean, response)
             coef, solved = tracked_coefficient(design, outcome)
         assert duals == ([12, 12] if n < 6 else [])
-        assert designs == []  # every finite design here passes the dual pivot rule
+        # Of the finite designs, only regression 7's fails the dual pivot rule.
+        assert designs == ([1] if n < 6 else [])
         assert not solved[:unsolved].any()
         assert expected_solved.all()
         assert solved[unsolved:].all()
