@@ -61,8 +61,8 @@ _MAX_DRAW_ATTEMPTS = 4  # one draw plus up to three redraws per repetition
 # exact count: below p parameters it draws n noise rows, else a Gram from the
 # 2**k_b pattern rows and k_g Bartlett rows.  The block size decides which
 # repetitions share a random stream, so changing it changes every simulate CSV.
-# A draw solves a design's outcome rows in chunks of at least one, with outcome
-# rows x repetitions in the block x values per repetition within the same bound.
+# A solve takes all k outcome rows of one design on as many repetitions (at
+# least one) as keep k x repetitions x values per repetition in the same bound.
 _BLOCK_VALUES = 2**17
 _MAX_SAMPLE_SIZE = 2**63 - 1  # numpy draws pattern counts as 64-bit integers
 _CELL_COLUMNS = ("n", "mean", "l50", "u50", "l95", "u95", "failures")
@@ -431,7 +431,8 @@ def _grid_estimates(
     n noise rows (see :func:`_draw_noise`) for the minimum-norm solve.  Grid
     points whose predictor rows are equal share a design, and
     :func:`~ovbkit.stats._tracked_coefficients` solves each design once per
-    draw for all of their outcome rows.
+    draw and pending repetition for all of their outcome rows, in runs of
+    repetitions whose outcome values fit ``_BLOCK_VALUES`` as a block's draw does.
     Attempt a of a block draws the whole block from the seed
     ``(*entropy, block start, a)``, and a repetition keeps its index in the
     block as its slot in every draw.  The (grid point, repetition) pairs left
@@ -450,7 +451,6 @@ def _grid_estimates(
     solved = np.zeros((len(lifts), repetitions), dtype=bool)
     for start in range(0, repetitions, block):
         size = min(block, repetitions - start)
-        chunk = max(1, _BLOCK_VALUES // (size * width))  # a design's outcome rows solved at once
         for attempt in range(_MAX_DRAW_ATTEMPTS):
             pending = ~solved[:, start:start + size]
             if not pending.any():
@@ -460,12 +460,11 @@ def _grid_estimates(
                 draw = _draw_noise(spec, (size, n), rng)
             else:
                 draw = _draw_grams(p, gaussians, n, size, rng)
-            for group in designs.values():
-                for first in range(0, len(group), chunk):
-                    points = group[first:first + chunk]
-                    reps = np.flatnonzero(pending[points].any(axis=0))
-                    if not reps.size:
-                        continue
+            for points in designs.values():
+                pending_reps = np.flatnonzero(pending[points].any(axis=0))
+                run = max(1, _BLOCK_VALUES // (len(points) * width))  # repetitions solved at once
+                for first in range(0, pending_reps.size, run):
+                    reps = pending_reps[first:first + run]
                     coef, ok = _tracked_coefficients(lifts[points[0], :-1], lifts[points, -1], draw[reps])
                     cells = np.ix_(points, start + reps)
                     ok = ok.T & pending[np.ix_(points, reps)]
@@ -615,25 +614,26 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     lifts = np.stack([
         _lift(_noise_map(spec)[0], config.outcome, config.predictors) for spec in specs
     ])
-    by_size = [
-        _grid_estimates(specs[0], lifts, n, config.repetitions, (config.seed, si))
-        for si, n in enumerate(config.sample_sizes)
-    ]
-    cells = []
-    for gi, params in enumerate(points):
-        for n, (estimates, solved) in zip(config.sample_sizes, by_size):
-            failures = config.repetitions - int(solved[gi].sum())
-            failed = failures > 0.1 * config.repetitions
-            estimates = estimates[gi, solved[gi]]
+
+    def summaries(n: int, estimates: np.ndarray, solved: np.ndarray) -> list[SweepCell]:
+        cells = []
+        for params, values, ok in zip(points, estimates, solved):
+            failures = config.repetitions - int(ok.sum())
+            values = values[ok]
             with np.errstate(over="ignore"):  # finite estimates near 1e308 can sum to inf
-                mean = math.nan if failed else float(np.mean(estimates))
+                mean = math.nan if failures > 0.1 * config.repetitions else float(np.mean(values))
             if math.isfinite(mean):
-                cells.append(SweepCell(
-                    params, n, mean, hpdi(estimates, 0.50), hpdi(estimates, 0.95), failures
-                ))
+                cells.append(SweepCell(params, n, mean, hpdi(values, 0.50), hpdi(values, 0.95), failures))
             else:
                 cells.append(SweepCell(params, n, None, None, None, failures))
-    return SweepResult(config.grid_names, tuple(cells))
+        return cells
+
+    # Each size is summarised before the next is drawn, so one size's arrays are alive at a time.
+    by_size = [
+        summaries(n, *_grid_estimates(specs[0], lifts, n, config.repetitions, (config.seed, si)))
+        for si, n in enumerate(config.sample_sizes)
+    ]
+    return SweepResult(config.grid_names, tuple(cell for row in zip(*by_size) for cell in row))
 
 
 def expected_treatment_estimate(t_e: float, z_e: float, z_t: float) -> float:

@@ -267,9 +267,9 @@ def _tracked_coefficients(
             lower, solved = _cholesky_factor(np.concatenate([design, outcomes]) @ draw @ design.T)
             coef = lower[:, p:, -1] / lower[:, p - 1, -1, None]
             return coef, solved[:, None] & np.isfinite(coef)
-        # Each outcome is lifted under its own copy of the design, so every
-        # product has p + 1 rows whatever k is: at n = 1 a stacked matmul is a
-        # BLAS matrix-vector call, whose rounding depends on its number of rows.
+        # Each outcome is lifted under its own copy of the design, so every product has
+        # p + 1 rows whatever k is: at every n < p, not only at n = 1 (a BLAS matrix-vector
+        # call), how a stacked matmul rounds a row depends on its number of rows.
         lifts = np.concatenate([np.broadcast_to(design, (len(outcomes), *design.shape)),
                                 outcomes[:, None]], axis=1)
         values = lifts[:, None] @ draw.transpose(0, 2, 1)  # (k, r, p + 1, n): the rows' transpose

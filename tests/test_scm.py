@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,23 @@ class TestSweep:
         assert lhs.mean == rhs.mean
         assert lhs.hpdi50 == rhs.hpdi50 and lhs.hpdi95 == rhs.hpdi95
 
+    def test_one_sample_size_is_held_at_a_time(self, monkeypatch):
+        # Each size is summarised before the next is drawn: no array that
+        # _grid_estimates returned for an earlier size is alive.
+        from ovbkit.fixtures import fixture_text
+
+        grid_estimates, earlier, alive = scm._grid_estimates, [], []
+
+        def recorded(*args):
+            alive.append(sum(ref() is not None for ref in earlier))
+            arrays = grid_estimates(*args)
+            earlier.extend(weakref.ref(array) for array in arrays)
+            return arrays
+
+        monkeypatch.setattr(scm, "_grid_estimates", recorded)
+        run_sweep(parse_sweep_config(fixture_text("table5.conf")))
+        assert alive == [0, 0, 0]
+
     def test_interval_structure(self):
         result = run_sweep(parse_sweep_config(SMALL_CONFIG))
         assert len(result.cells) == 4
@@ -472,6 +490,22 @@ class TestSweep:
         (cell,) = run_sweep(config).cells
         assert 0 < cell.failures <= 40
         assert not cell.failed
+
+    @pytest.mark.parametrize("unsolved, failed", [(4, False), (5, True)])
+    def test_a_cell_fails_past_a_tenth_of_its_repetitions(self, monkeypatch, unsolved, failed):
+        # Of 40 repetitions, 4 unsolved leave the cell its estimates; 5 fail it.
+        grid_estimates = scm._grid_estimates
+
+        def some_unsolved(*args):
+            estimates, solved = grid_estimates(*args)
+            solved[:, :unsolved] = False
+            return estimates, solved
+
+        monkeypatch.setattr(scm, "_grid_estimates", some_unsolved)
+        cells = run_sweep(parse_sweep_config(SMALL_CONFIG)).cells
+        assert {cell.failures for cell in cells} == {unsolved}
+        assert {cell.failed for cell in cells} == {failed}
+        assert all((cell.mean is None) == failed for cell in cells)
 
     @pytest.mark.parametrize("n", [50, 10])
     def test_a_cell_spanning_blocks_has_the_closed_form_mean(self, monkeypatch, n):
@@ -804,35 +838,45 @@ class TestCommonRandomNumbers:
 
     @pytest.mark.parametrize("block_values", [scm._BLOCK_VALUES, 1000, 64],
                              ids=["one-block", "chunked", "one-point-chunks"])
-    @pytest.mark.parametrize("old, new", [
-        ("grid.z_t = 0.1", "grid.z_t = 0.1, -0.4"),
-        ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.5, 0.1"),
-        ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.5"),
-        ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.1, 0.5, 1e308"),
+    @pytest.mark.parametrize("old, new, edits", [
+        ("grid.z_t = 0.1", "grid.z_t = 0.1, -0.4", {}),
+        ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.5, 0.1", {}),
+        ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.5", {}),
+        ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.1, 0.5, 1e308", {}),
+        ("grid.z_e = 0.1, 0.5", "grid.z_e = -0.5, 0.1, -0.3, 0.5, -0.1, 0.3, 0.7",
+         {"repetitions = 40": "repetitions = 100"}),
+        ("grid.z_e = 0.1, 7e153", "grid.z_e = 7e153", {"grid.z_e = 0.1, 0.5": "grid.z_e = 0.1, 7e153"}),
     ], ids=["grid-value-added", "grid-values-reordered", "one-grid-point-alone",
-            "overflowing-outcome-added"])
+            "overflowing-outcome-added", "outcome-rows-resplit-a-block", "redrawn-outcome-alone"])
     def test_a_cell_is_the_same_whatever_the_other_grid_points(
-        self, monkeypatch, block_values, old, new
+        self, monkeypatch, block_values, old, new, edits
     ):
-        # At 1000 values a block holds all 40 repetitions and a chunk two of a
-        # design's outcome rows from n = 10 on; at 64 a block holds 5 to 12
-        # repetitions and a chunk one outcome row.  An outcome row at
-        # z_e = 1e308 overflows on every draw, and leaves unsolved only its own
-        # grid point, which shares its design with the other two.
+        # ``edits`` apply to both configs.  At 1000 values a block holds 83 to
+        # 200 repetitions, and a solve as many as keep a design's outcome rows
+        # x repetitions x min(n, 12) values within the bound: at n = 5, 100 of
+        # two rows but 28 of seven.  At 64 a block holds 5 to 12 repetitions
+        # and a solve 1 to 6.  An outcome row at z_e = 1e308 overflows on every
+        # draw, and leaves unsolved only its own grid point, which shares its
+        # design with the other two.  One at 7e153 overflows on some n = 5
+        # draws (in one block, 26 of the 40 first draws and 3 after three
+        # redraws), which are redrawn for it whether or not z_e = 0.1, which
+        # never overflows, shares its design.
         monkeypatch.setattr(scm, "_BLOCK_VALUES", block_values)
         text = SMALL_CONFIG.replace("n = 5, 20", "n = 5, 10, 50")
+        for edit in edits.items():
+            text = text.replace(*edit)
         base = csv_rows_by_cell(run_sweep(parse_sweep_config(text)))
         other = csv_rows_by_cell(run_sweep(parse_sweep_config(text.replace(old, new))))
         shared = base.keys() & other.keys()
         assert {key[-1] for key in shared} == {"5", "10", "50"}
         assert all(other[key] == base[key] for key in shared)
 
-    def test_a_chunk_of_grid_points_stays_within_the_block_bound(self, monkeypatch):
+    def test_a_run_of_repetitions_stays_within_the_block_bound(self, monkeypatch):
         # Two designs (z_t), each with three outcome rows (z_e).  At 1000
-        # values a block holds all 40 repetitions, and a chunk as many of a
-        # design's outcome rows as keep outcome rows x repetitions x
-        # min(n, 12) values within the bound: all three at n = 5, two from
-        # n = 10 on.
+        # values a block holds all 40 repetitions, and a solve takes all three
+        # outcome rows of one design on as many repetitions as keep outcome
+        # rows x repetitions x min(n, 12) values within the bound: 40 at n = 5,
+        # 33 at n = 10 and 27 at n = 50.
         monkeypatch.setattr(scm, "_BLOCK_VALUES", 1000)
         text = SMALL_CONFIG.replace("grid.z_t = 0.1", "grid.z_t = 0.1, -0.4") \
                            .replace("grid.z_e = 0.1, 0.5", "grid.z_e = 0.1, 0.5, -0.3") \
@@ -842,11 +886,43 @@ class TestCommonRandomNumbers:
             # A Gram's [0, 0] is n.
             n = draw.shape[1] if draw.shape[1] < len(design) else int(draw[0, 0, 0])
             repetitions = len(np.unique(draw.reshape(len(draw), -1), axis=0))
+            assert len(outcomes) == 3
             assert len(outcomes) * repetitions * min(n, 12) <= 1000
-            largest[n] = max(largest.get(n, 0), len(outcomes))
+            largest[n] = max(largest.get(n, 0), repetitions)
             rows.setdefault((n, design.tobytes()), set()).update(map(bytes, outcomes))
-        assert largest == {5: 3, 10: 2, 50: 2}
+        assert largest == {5: 40, 10: 33, 50: 27}
         assert sorted(len(outcomes) for outcomes in rows.values()) == [3] * 6
+
+    def test_a_design_is_solved_once_per_repetition_and_draw(self, monkeypatch):
+        # At 2,000 repetitions each size of table5.conf draws one block, and a
+        # solve takes all 18 outcome rows of one of its 6 designs on at most
+        # 2**17 // (18 x min(n, 12)) repetitions: 1,456 at n = 5, 728 at n = 10
+        # and 606 at n = 50.  Each (design, repetition, draw) is solved once.
+        from ovbkit.fixtures import fixture_text
+
+        kernel, rng_from = scm._tracked_coefficients, scm._rng_from
+        seeds, solved, largest = [], [], {}
+
+        def recorded_rng(entropy):
+            seeds.append(entropy)
+            return rng_from(entropy)
+
+        def solve(design, outcomes, draw):
+            n = draw.shape[1] if draw.shape[1] < len(design) else int(draw[0, 0, 0])  # a Gram's [0, 0]
+            assert len(outcomes) == 18
+            assert len(draw) == 1 or 18 * len(draw) * min(n, 12) <= scm._BLOCK_VALUES
+            largest[n] = max(largest.get(n, 0), len(draw))
+            solved.extend((seeds[-1], design.tobytes(), rep.tobytes()) for rep in draw)
+            return kernel(design, outcomes, draw)
+
+        monkeypatch.setattr(scm, "_rng_from", recorded_rng)
+        monkeypatch.setattr(scm, "_tracked_coefficients", solve)
+        text = fixture_text("table5.conf").replace("repetitions = 200", "repetitions = 2000")
+        run_sweep(parse_sweep_config(text))
+        assert largest == {5: 1456, 10: 728, 50: 606}
+        assert len(set(solved)) == len(solved)
+        first = [seed for seed, *_ in solved if seed[-1] == 0]  # (seed, size index, block start, attempt)
+        assert sorted(first) == [(20240211, size, 0, 0) for size in range(3) for _ in range(6 * 2000)]
 
     def test_table5_factors_each_design_once_per_draw(self, monkeypatch):
         # table5.conf's 108 grid points share 6 designs, one per z_t, each

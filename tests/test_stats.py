@@ -240,6 +240,84 @@ class TestOls:
         assert list(payload) == ["n", "intercept", "coefficients", "std_errors", "sigma"]
 
 
+def random_fit_data(seed: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """A seeded design of 8 to 400 rows with an intercept column and 1 to 5
+    normal predictors, each scaled by 0.1 to 10, and an outcome linear in them
+    plus unit noise; returns the design, the outcome and the predictor names."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(8, 401)), int(rng.integers(1, 6))
+    design = np.column_stack([np.ones(n), rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-1, 1, k)])
+    return design, design @ rng.normal(size=k + 1) + rng.normal(size=n), [f"x{i}" for i in range(k)]
+
+
+def fit_vectors(design: np.ndarray, y: np.ndarray, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``ols_fit``'s intercept and coefficients, and its standard errors then sigma."""
+    fit = ols_fit(make_dataset(**dict(zip(names, design[:, 1:].T)), y=y), "y", names)
+    return (np.array([fit.intercept, *fit.coefficients.values()]),
+            np.array([*fit.std_errors.values(), fit.sigma]))
+
+
+def relative_error(value: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.max(np.abs(value - reference) / (1.0 + np.abs(reference))))
+
+
+# Metamorphic relations of ``ols_fit``, each on the designs of FIT_SEEDS (see
+# random_fit_data).  Tolerances, relative to 1 + |reference|, are about ten
+# times the worst error measured when they were set, and do not move.
+FIT_SEEDS = range(200)
+# Worst over these designs, then over 2,000 of them: scaling 2.5e-14, 3.4e-14;
+# shift 1.1e-14 and 6.6e-16, 2.1e-14 and 6.6e-16; permutation 1.4e-14 and
+# 3.3e-16, 1.5e-14 and 6.5e-16 (coefficients and errors).
+SCALE_TOLERANCE = 3e-13
+SHIFT_TOLERANCES = (2e-13, 7e-15)  # coefficients, errors
+PERMUTE_TOLERANCES = (2e-13, 7e-15)  # coefficients, errors
+
+
+class TestOlsRelations:
+    """Exact relations of least squares, checked fit by fit: scaling the
+    outcome, adding a multiple of a predictor to it, and permuting the rows."""
+
+    def test_scaling_the_outcome_by_a_power_of_two_is_exact(self):
+        for seed in FIT_SEEDS:
+            design, y, names = random_fit_data(seed)
+            coef, errors = fit_vectors(design, y, names)
+            power = 2.0 ** (seed % 41 - 20)
+            scaled_coef, scaled_errors = fit_vectors(design, power * y, names)
+            assert np.array_equal(scaled_coef, power * coef), seed
+            assert np.array_equal(scaled_errors, power * errors), seed
+
+    def test_scaling_the_outcome_scales_the_fit(self):
+        rng = np.random.default_rng(0)
+        for seed in FIT_SEEDS:
+            design, y, names = random_fit_data(seed)
+            coef, errors = fit_vectors(design, y, names)
+            c = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1)
+            scaled_coef, scaled_errors = fit_vectors(design, c * y, names)
+            assert relative_error(scaled_coef, c * coef) <= SCALE_TOLERANCE, seed
+            assert relative_error(scaled_errors, abs(c) * errors) <= SCALE_TOLERANCE, seed
+
+    def test_adding_a_multiple_of_a_predictor_shifts_its_coefficient_only(self):
+        rng = np.random.default_rng(1)
+        for seed in FIT_SEEDS:
+            design, y, names = random_fit_data(seed)
+            coef, errors = fit_vectors(design, y, names)
+            j, c = int(rng.integers(design.shape[1])), rng.uniform(-3, 3)  # j = 0: the intercept
+            shifted_coef, shifted_errors = fit_vectors(design, y + c * design[:, j], names)
+            coef[j] += c
+            assert relative_error(shifted_coef, coef) <= SHIFT_TOLERANCES[0], seed
+            assert relative_error(shifted_errors, errors) <= SHIFT_TOLERANCES[1], seed
+
+    def test_permuting_the_rows_changes_nothing(self):
+        rng = np.random.default_rng(2)
+        for seed in FIT_SEEDS:
+            design, y, names = random_fit_data(seed)
+            coef, errors = fit_vectors(design, y, names)
+            order = rng.permutation(len(y))
+            permuted_coef, permuted_errors = fit_vectors(design[order], y[order], names)
+            assert relative_error(permuted_coef, coef) <= PERMUTE_TOLERANCES[0], seed
+            assert relative_error(permuted_errors, errors) <= PERMUTE_TOLERANCES[1], seed
+
+
 def _near_collinear_design(rng, n: int, p: int) -> np.ndarray:
     """A transposed (p, n) design: an intercept row and normal rows, where
     about 70% of designs copy one row onto another plus noise of 1e-12 to 1e-1."""
