@@ -38,7 +38,7 @@ from .adjustment import (
     format_set,
     minimal_adjustment_sets,
 )
-from .dag import parse_dag
+from .dag import DagError, _decode, parse_dag
 from .sensitivity import (
     EValueInput,
     evalue_curve,
@@ -118,8 +118,7 @@ def _emit(payload: dict, text: str, manifest: RunManifest, as_json: bool) -> Non
 
 
 def _load_dag(args, manifest: RunManifest):
-    data = manifest.add_input(args.dag_file)
-    dag = parse_dag(data.decode("utf-8-sig"))
+    dag = parse_dag(_decode(manifest.add_input(args.dag_file), DagError))
     treatment = args.treatment or dag.treatment
     outcome = args.outcome or dag.outcome
     if treatment is None or outcome is None:
@@ -295,9 +294,9 @@ def cmd_evalue(args, manifest: RunManifest) -> int:
 def cmd_simulate(args, manifest: RunManifest) -> int:
     if args.output is not None and args.json:
         raise UsageError("--json conflicts with --output")
-    from .scm import parse_sweep_config, run_sweep
+    from .scm import ScmError, parse_sweep_config, run_sweep
 
-    config = parse_sweep_config(manifest.add_input(args.config).decode("utf-8-sig"))
+    config = parse_sweep_config(_decode(manifest.add_input(args.config), ScmError))
     manifest.seed = config.seed
     if args.output is None:
         result = run_sweep(config)

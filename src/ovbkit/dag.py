@@ -194,6 +194,16 @@ class SeparationQuery:
             raise DagError("query endpoints may not appear in the conditioning set")
 
 
+def _decode(data: bytes, error: type[ValueError]) -> str:
+    """The UTF-8 text of any input file, less a leading byte-order mark; an
+    undecodable byte raises ``error`` naming its line and its offset in the file."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b"x").splitlines())
+        raise error(f"line {line}: {exc}") from None
+
+
 def parse_dag(text: str) -> CausalDag:
     """Parse the line-oriented DAG format into a :class:`CausalDag`.
 

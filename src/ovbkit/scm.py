@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .dag import CausalDag
+from .dag import CausalDag, _decode
 from .stats import Dataset, Interval, _tracked_coefficients, hpdi
 
 __all__ = [
@@ -462,7 +462,7 @@ def _grid_estimates(
                 draw = _draw_grams(p, gaussians, n, size, rng)
             for points in designs.values():
                 pending_reps = np.flatnonzero(pending[points].any(axis=0))
-                run = max(1, _BLOCK_VALUES // (len(points) * width))  # repetitions solved at once
+                run = max(1, block // len(points))  # repetitions solved at once
                 for first in range(0, pending_reps.size, run):
                     reps = pending_reps[first:first + run]
                     coef, ok = _tracked_coefficients(lifts[points[0], :-1], lifts[points, -1], draw[reps])
@@ -687,13 +687,11 @@ def parse_sweep_config(text: str) -> SweepConfig:
             scalars[key] = tuple(_int(v, lineno, key) for v in value)
         elif key in ("repetitions", "seed"):
             scalars[key] = _int(value, lineno, key)
-        else:
+        elif key in ("outcome", "predictors"):
             scalars[key] = value
-    known = {"n", "repetitions", "seed", "outcome", "predictors"}
-    unknown = set(scalars) - known
-    if unknown:
-        raise ScmError(f"unknown config key(s): {sorted(unknown)}")
-    missing = known - set(scalars)
+        else:
+            raise ScmError(f"config line {lineno}: unknown key {key!r}")
+    missing = {"n", "repetitions", "seed", "outcome", "predictors"} - set(scalars)
     if missing:
         raise ScmError(f"missing config key(s): {sorted(missing)}")
     return SweepConfig(
@@ -726,4 +724,4 @@ def _int(value: str, lineno: int, key: str) -> int:
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:
-    return parse_sweep_config(Path(path).read_bytes().decode("utf-8-sig"))
+    return parse_sweep_config(_decode(Path(path).read_bytes(), ScmError))

@@ -8,7 +8,8 @@ diagonal entry of XtX counts as rank deficiency.  A sweep solves only the
 last coefficient of each regression, and solves every outcome of one design
 off one tall factor per draw: of XtX over the rows ytX, or, with fewer rows
 than parameters, of XXt over that column's xt and the rows yt at a cutoff of
-1e-5, for the minimum-norm solution.
+1e-5, for the minimum-norm solution.  Inf and NaN go through the factor,
+whose pivot rule fails them; only LAPACK, in ``pinv``, is kept from them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .dag import _decode
 
 __all__ = [
     "Dataset",
@@ -136,11 +139,7 @@ def _csv_table(data: bytes) -> tuple[tuple[str, ...], Iterator[tuple[int, list[s
         except UnicodeDecodeError:
             # The decoder counts positions within its current chunk: decode
             # the whole file to find the bad byte's offset and line.
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = len((data[:exc.start] + b"x").splitlines())
-                raise StatsError(f"line {line}: {exc}") from None
+            _decode(data, StatsError)
             raise
 
     records = numbered()
@@ -252,14 +251,16 @@ def _tracked_coefficients(
     ``design`` holds the p predictor rows, the tracked one last, and ``outcomes`` the k outcome
     rows, ``(p, d)`` and ``(k, d)``; each row maps a sample's noise u to a value.  ``draw`` stacks
     r noise Grams G ``(r, d, d)``, or r sets of n < p noise rows U ``(r, n, d)``.  The k outcomes
-    share each draw's one tall factor, as many right-hand sides share one Cholesky factor (Golub
-    & Van Loan, *Matrix Computations*, 4th ed., §4.2).  From a Gram, [D; Y]·G·Dᵀ is XᵀX over the
-    rows y_iᵀX, whose factor is L over the rows z_iᵀ, and b_i = z_i,T / L_TT.  From rows, X = U·Dᵀ
-    and the minimum-norm b_i = (L⁻¹x_T)·(L⁻¹y_i) come off the factor of XXᵀ over x_Tᵀ and the y_iᵀ
-    at the stricter dual cutoff; a draw failing it takes the last row of X's ``pinv``, at
-    ``lstsq``'s singular-value cutoff, for all k.  A draw whose design's sum of squares overflows
-    leaves all k unsolved, and one whose design and outcome together overflow leaves that outcome
-    unsolved.  A Gram failing the pivot rule, or a coefficient that is not finite, is unsolved.
+    share each draw's one tall factor, as many right-hand sides share one Cholesky factor (Golub &
+    Van Loan, *Matrix Computations*, 4th ed., §4.2).  From a Gram, [D; Y]·G·Dᵀ is XᵀX over the rows
+    y_iᵀX, whose factor is L over the rows z_iᵀ, and b_i = z_i,T / L_TT.  From rows, X = U·Dᵀ is
+    one p-row product and the y_i one ``einsum`` of values that are each their own sum, so none
+    depends on k; the minimum-norm b_i = (L⁻¹x_T)·(L⁻¹y_i) comes off the factor of XXᵀ over x_Tᵀ
+    and the y_iᵀ at the stricter dual cutoff, and a finite design failing it takes the last row of
+    X's ``pinv``, at ``lstsq``'s singular-value cutoff, for all k.  A draw whose design's sum of
+    squares overflows leaves all k unsolved, and one whose design and outcome together overflow
+    leaves that outcome unsolved.  A Gram failing the pivot rule, or a coefficient that is not
+    finite, is unsolved.
     """
     p = len(design)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -267,24 +268,15 @@ def _tracked_coefficients(
             lower, solved = _cholesky_factor(np.concatenate([design, outcomes]) @ draw @ design.T)
             coef = lower[:, p:, -1] / lower[:, p - 1, -1, None]
             return coef, solved[:, None] & np.isfinite(coef)
-        # Each outcome is lifted under its own copy of the design, so every product has
-        # p + 1 rows whatever k is: at every n < p, not only at n = 1 (a BLAS matrix-vector
-        # call), how a stacked matmul rounds a row depends on its number of rows.
-        lifts = np.concatenate([np.broadcast_to(design, (len(outcomes), *design.shape)),
-                                outcomes[:, None]], axis=1)
-        values = lifts[:, None] @ draw.transpose(0, 2, 1)  # (k, r, p + 1, n): the rows' transpose
-        x, y = values[0, :, :p], values[:, :, p].swapaxes(0, 1)  # Xt (r, p, n), the y_it (r, k, n)
+        n = draw.shape[1]
+        x = design @ draw.transpose(0, 2, 1)  # Xt (r, p, n): one p-row product per draw
+        y = np.einsum("kd,rnd->rkn", outcomes, draw)  # the y_it (r, k, n), each its own sum
         design_squares = np.einsum("rin,rin->r", x, x)
         solved = np.isfinite(design_squares[:, None] + np.einsum("rkn,rkn->rk", y, y))
-        # LAPACK's SVD may never return on inf or NaN, so such values are
-        # zeroed before any solve; a zeroed XXt then fails every pivot.
-        x = np.where(np.isfinite(design_squares)[:, None, None], x, 0.0)
-        y = np.where(solved[..., None], y, 0.0)
-        n = draw.shape[1]
         tall = np.concatenate([x.transpose(0, 2, 1) @ x, x[:, -1:], y], axis=1)
         lower, dual = _cholesky_factor(tall, _DUAL_PIVOT_RTOL)
         coef = np.einsum("rkn,rn->rk", lower[:, n + 1:], lower[:, n])
-        fallback = np.isfinite(design_squares) & ~dual
+        fallback = np.isfinite(design_squares) & ~dual  # LAPACK's SVD may hang on inf or NaN
         if fallback.any():
             pinv = np.linalg.pinv(x[fallback], rcond=max(p, n) * np.finfo(float).eps)
             coef[fallback] = np.einsum("rn,rkn->rk", pinv[:, :, -1], y[fallback])

@@ -109,6 +109,13 @@ class TestAdjust:
         assert code == 1
         assert "line 1" in err
 
+    def test_undecodable_byte_names_its_line_and_offset(self, capsys, tmp_path):
+        dag = tmp_path / "bad.dag"
+        dag.write_bytes(b"A -> B\n\xff -> C\n")
+        expected = ("error: line 2: 'utf-8' codec can't decode byte 0xff in position 7: "
+                    "invalid start byte\n")
+        assert run(capsys, "adjust", str(dag)) == (1, "", expected)
+
     def test_byte_order_mark(self, capsys, tmp_path):
         dag = tmp_path / "bom.dag"
         dag.write_bytes(b"\xef\xbb\xbfX -> Y\ntreatment X\noutcome Y\n")
@@ -122,6 +129,12 @@ class TestAdjust:
         code, _, err = run(capsys, "adjust", str(anon))
         assert code == 1
         assert "--treatment" in err
+
+    def test_one_missing_role_is_named(self, capsys, tmp_path):
+        anon = tmp_path / "anon.dag"
+        anon.write_text("X -> Y\n")
+        expected = "error: no outcome given: declare it in the DAG file or pass --outcome\n"
+        assert run(capsys, "adjust", str(anon), "--treatment", "X") == (1, "", expected)
 
 
 class TestAugment:
@@ -296,7 +309,12 @@ class TestEvalue:
                        "at most 100000 are allowed"),
         ("0.000005:1:0.000005", "--delta-range '0.000005:1:0.000005' asks for "
                                 "200000 deltas; at most 100000 are allowed"),
-    ], ids=["step-does-not-divide", "high-above-1", "low-at-0", "900M-deltas", "200k-deltas"])
+        ("0.5:1:0.000005", "--delta-range '0.5:1:0.000005' asks for "
+                           "100001 deltas; at most 100000 are allowed"),
+        ("0.1:1:0", "--delta-range needs LOW <= HIGH and STEP > 0"),
+        ("0.5:0.1:0.1", "--delta-range needs LOW <= HIGH and STEP > 0"),
+    ], ids=["step-does-not-divide", "high-above-1", "low-at-0", "900M-deltas", "200k-deltas",
+            "one-past-the-cap", "step-0", "high-below-low"])
     def test_delta_range_is_checked_before_the_grid_is_built(
         self, capsys, monkeypatch, spec, message
     ):
@@ -347,16 +365,25 @@ class TestEvalue:
         (["evalue", "--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t",
           "--delta-range", "0:1:0.1"],
          "--delta-range needs 0 < LOW and HIGH <= 1"),
+        # One conflicting or one missing flag is enough, before --fit is read.
+        (["evalue", "--fit", "no-such-file.csv", "--outcome", "y", "--treatment", "t",
+          "--estimate", "1", "--delta", "0.5"],
+         "--fit conflicts with --estimate/--sigma/--se"),
+        (["evalue", "--fit", "no-such-file.csv", "--outcome", "y", "--delta", "0.5"],
+         "--fit requires --outcome and --treatment"),
         # The JSON payload lists the sets with and without latents either way;
         # the flags are checked before the DAG is read.
         (["adjust", "no-such-file.dag", "--with-latents", "--json"],
          "--with-latents conflicts with --json: the JSON holds both lists"),
     ], ids=["fit-columns-without-fit", "covariates-without-fit", "se-with-curve",
             "fit-without-delta", "fit-with-both-deltas", "fit-with-bad-delta-range",
-            "adjust-with-latents-json"])
+            "fit-with-estimate", "fit-without-treatment", "adjust-with-latents-json"])
     def test_ignored_flags_are_refused(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_a_range_of_one_delta(self):
+        assert _parse_delta_range("0.5:0.5:0.1") == [0.5]
 
     def test_delta_range_at_the_cap(self):
         deltas = _parse_delta_range("0.00001:1:0.00001")
@@ -411,6 +438,14 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert manifest["seed"] == 424242
         assert str(config) in manifest["inputs"]
+
+    def test_undecodable_byte_names_its_line_and_offset(self, capsys, tmp_path):
+        # The offset counts from the start of the file, byte-order mark included.
+        config = tmp_path / "sweep.conf"
+        config.write_bytes(b"\xef\xbb\xbf" + SMALL_CONFIG.encode().replace(b"424242", b"\xff"))
+        expected = ("error: line 14: 'utf-8' codec can't decode byte 0xff in position 209: "
+                    "invalid start byte\n")
+        assert run(capsys, "simulate", str(config)) == (1, "", expected)
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         config = tmp_path / "sweep.conf"

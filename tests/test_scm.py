@@ -268,7 +268,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "mutation",
         [
-            ("n = 5, 20", "bogus_key = 1"),           # unknown key
+            ("n = 5, 20", "bogus_key = 1", "config line 13: unknown key 'bogus_key'"),
             ("grid.t_e = 0.3", "grid.t_e ="),         # empty list
             ("seed = 99", "seed = soon", "config line 15: not an integer in 'seed': 'soon'"),
             ("grid.t_e = 0.3", "grid.nope = 0.3",     # unknown parameter
@@ -379,31 +379,24 @@ class TestSweep:
 
     def test_non_finite_draws_never_reach_the_solver(self, monkeypatch):
         # With z_t = 1e308 the treatment overflows to inf in some samples.
-        # The n < p path factors XXt, then takes an SVD of the designs that
-        # fail its pivot rule, and the SVD may never return on inf.  So such
-        # draws must count as failed without reaching either.
-        pinv, factor, rng_from = np.linalg.pinv, stats._cholesky_factor, scm._rng_from
-        duals, seeds = [], []
+        # The n < p path factors XXt, whose pivot rule fails such draws, then
+        # takes an SVD of the designs that fail it, and the SVD may never
+        # return on inf.  So such draws must count as failed without reaching
+        # the SVD.
+        pinv, rng_from, seeds = np.linalg.pinv, scm._rng_from, []
 
         def finite_only(design, *args, **kwargs):
             assert np.isfinite(design).all()
             return pinv(design, *args, **kwargs)
-
-        def finite_dual(gram, *args):
-            assert np.isfinite(gram).all()
-            duals.append(len(gram))
-            return factor(gram, *args)
 
         def recorded(entropy):
             seeds.append(entropy)
             return rng_from(entropy)
 
         monkeypatch.setattr(np.linalg, "pinv", finite_only)
-        monkeypatch.setattr(stats, "_cholesky_factor", finite_dual)
         monkeypatch.setattr(scm, "_rng_from", recorded)
         text = SMALL_CONFIG.replace("grid.z_t = 0.1", "grid.z_t = 1e308")
         result = run_sweep(parse_sweep_config(text.replace("n = 5, 20", "n = 5")))
-        assert duals
         assert any(attempt > 0 for *_, attempt in seeds)  # the overflowed repetitions were redrawn
         assert all(cell.failed or np.isfinite(cell.mean) for cell in result.cells)
 
@@ -852,23 +845,24 @@ class TestCommonRandomNumbers:
         self, monkeypatch, block_values, old, new, edits
     ):
         # ``edits`` apply to both configs.  At 1000 values a block holds 83 to
-        # 200 repetitions, and a solve as many as keep a design's outcome rows
+        # 1000 repetitions, and a solve as many as keep a design's outcome rows
         # x repetitions x min(n, 12) values within the bound: at n = 5, 100 of
-        # two rows but 28 of seven.  At 64 a block holds 5 to 12 repetitions
-        # and a solve 1 to 6.  An outcome row at z_e = 1e308 overflows on every
+        # two rows but 28 of seven.  At 64 a block holds 5 to 64 repetitions
+        # and a solve 1 to 64.  At n = 1 numpy makes a stacked product of one
+        # row a BLAS matrix-vector call.  An outcome row at z_e = 1e308 overflows on every
         # draw, and leaves unsolved only its own grid point, which shares its
         # design with the other two.  One at 7e153 overflows on some n = 5
         # draws (in one block, 26 of the 40 first draws and 3 after three
         # redraws), which are redrawn for it whether or not z_e = 0.1, which
         # never overflows, shares its design.
         monkeypatch.setattr(scm, "_BLOCK_VALUES", block_values)
-        text = SMALL_CONFIG.replace("n = 5, 20", "n = 5, 10, 50")
+        text = SMALL_CONFIG.replace("n = 5, 20", "n = 1, 5, 10, 50")
         for edit in edits.items():
             text = text.replace(*edit)
         base = csv_rows_by_cell(run_sweep(parse_sweep_config(text)))
         other = csv_rows_by_cell(run_sweep(parse_sweep_config(text.replace(old, new))))
         shared = base.keys() & other.keys()
-        assert {key[-1] for key in shared} == {"5", "10", "50"}
+        assert {key[-1] for key in shared} == {"1", "5", "10", "50"}
         assert all(other[key] == base[key] for key in shared)
 
     def test_a_run_of_repetitions_stays_within_the_block_bound(self, monkeypatch):
