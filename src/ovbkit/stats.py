@@ -5,11 +5,11 @@ errors.  Every normal-equations solve, a single ``fit`` or a sweep's whole
 stack of small regressions, goes through one vectorised Cholesky
 factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
 diagonal entry of XtX counts as rank deficiency.  A sweep solves only the
-last coefficient of each regression, and solves every outcome of one design
-off one tall factor per draw: of XtX over the rows ytX, or, with fewer rows
-than parameters, of XXt over that column's xt and the rows yt at a cutoff of
-1e-5, for the minimum-norm solution.  Inf and NaN go through the factor,
-whose pivot rule fails them; only LAPACK, in ``pinv``, is kept from them.
+last coefficient of each regression, and every outcome of one design off one
+tall factor per draw: of XtX over the rows ytX, or, below p rows, of XXt over
+that column's xt and the rows yt at a cutoff of 1e-5, or else by ``pinv``,
+for the minimum-norm solution.  A coefficient is solved when it is finite and
+its factor or ``pinv`` solved it; ``pinv`` (LAPACK) sees no inf or NaN.
 """
 
 from __future__ import annotations
@@ -256,31 +256,30 @@ def _tracked_coefficients(
     y_iᵀX, whose factor is L over the rows z_iᵀ, and b_i = z_i,T / L_TT.  From rows, X = U·Dᵀ is
     one p-row product and the y_i one ``einsum`` of values that are each their own sum, so none
     depends on k; the minimum-norm b_i = (L⁻¹x_T)·(L⁻¹y_i) comes off the factor of XXᵀ over x_Tᵀ
-    and the y_iᵀ at the stricter dual cutoff, and a finite design failing it takes the last row of
-    X's ``pinv``, at ``lstsq``'s singular-value cutoff, for all k.  A draw whose design's sum of
-    squares overflows leaves all k unsolved, and one whose design and outcome together overflow
-    leaves that outcome unsolved.  A Gram failing the pivot rule, or a coefficient that is not
-    finite, is unsolved.
+    and the y_iᵀ at the stricter dual cutoff, and a design failing it whose sum of squares is finite
+    takes the last row of X's ``pinv``, at ``lstsq``'s singular-value cutoff, for all k.  A
+    regression is solved when its factor passed the pivot rule, or ``pinv`` solved its design, and
+    its coefficient is finite.
     """
     p = len(design)
     with np.errstate(over="ignore", invalid="ignore"):
         if draw.shape[1] >= p:  # Grams
             lower, solved = _cholesky_factor(np.concatenate([design, outcomes]) @ draw @ design.T)
             coef = lower[:, p:, -1] / lower[:, p - 1, -1, None]
-            return coef, solved[:, None] & np.isfinite(coef)
-        n = draw.shape[1]
-        x = design @ draw.transpose(0, 2, 1)  # Xt (r, p, n): one p-row product per draw
-        y = np.einsum("kd,rnd->rkn", outcomes, draw)  # the y_it (r, k, n), each its own sum
-        design_squares = np.einsum("rin,rin->r", x, x)
-        solved = np.isfinite(design_squares[:, None] + np.einsum("rkn,rkn->rk", y, y))
-        tall = np.concatenate([x.transpose(0, 2, 1) @ x, x[:, -1:], y], axis=1)
-        lower, dual = _cholesky_factor(tall, _DUAL_PIVOT_RTOL)
-        coef = np.einsum("rkn,rn->rk", lower[:, n + 1:], lower[:, n])
-        fallback = np.isfinite(design_squares) & ~dual  # LAPACK's SVD may hang on inf or NaN
-        if fallback.any():
-            pinv = np.linalg.pinv(x[fallback], rcond=max(p, n) * np.finfo(float).eps)
-            coef[fallback] = np.einsum("rn,rkn->rk", pinv[:, :, -1], y[fallback])
-    return coef, solved & np.isfinite(coef)
+        else:
+            n = draw.shape[1]
+            x = design @ draw.transpose(0, 2, 1)  # Xt (r, p, n): one p-row product per draw
+            y = np.einsum("kd,rnd->rkn", outcomes, draw)  # the y_it (r, k, n), each its own sum
+            tall = np.concatenate([x.transpose(0, 2, 1) @ x, x[:, -1:], y], axis=1)
+            lower, solved = _cholesky_factor(tall, _DUAL_PIVOT_RTOL)
+            coef = np.einsum("rkn,rn->rk", lower[:, n + 1:], lower[:, n])
+            # LAPACK's SVD may hang on inf or NaN; a design whose squares overflow is too large to regress
+            fallback = np.isfinite(np.einsum("rin,rin->r", x, x)) & ~solved
+            if fallback.any():
+                pinv = np.linalg.pinv(x[fallback], rcond=max(p, n) * np.finfo(float).eps)
+                coef[fallback] = np.einsum("rn,rkn->rk", pinv[:, :, -1], y[fallback])
+            solved |= fallback
+    return coef, solved[:, None] & np.isfinite(coef)
 
 
 def _cholesky_factor(gram: np.ndarray, rtol: float = _PIVOT_RTOL) -> tuple[np.ndarray, np.ndarray]:

@@ -626,6 +626,26 @@ class TestSimulate:
         assert len(payload) == cells
         assert all(cell["mean"] is None for cell in payload)
 
+    def test_huge_outcomes_below_p_keep_their_estimates(self, capsys, tmp_path):
+        # table5.conf with z_e so large that the outcome's sum of squares
+        # overflows while each coefficient stays finite.  The n = 5 cells are
+        # solved as the n = 10 ones are, and an estimate is linear in the
+        # outcome: 1e100 times the z_e scales the mean by 1e100.
+        edits = {"grid.t_e": "param.t_e = 0.3", "grid.z_e": "grid.z_e = 0.5, 1e200, 1e300",
+                 "grid.z_t": "param.z_t = 0.5", "n": "n = 5, 10", "repetitions": "repetitions = 20"}
+        lines = fixture_path("table5.conf").read_text().splitlines()
+        config = tmp_path / "huge.conf"
+        config.write_text("\n".join(edits.get(line.split(" =")[0], line) for line in lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "simulate", str(config), "--json")
+        assert code == 0
+        cells = {(cell["params"]["z_e"], cell["n"]): cell for cell in json.loads(out)["cells"]}
+        assert len(cells) == 6
+        assert all(cell["failures"] == 0 for cell in cells.values())
+        ratio = cells[1e300, 5]["mean"] / cells[1e200, 5]["mean"]
+        assert ratio == pytest.approx(1e100, rel=1e-12)
+
     def test_duplicate_predictors_are_refused(self, capsys, tmp_path):
         # Minimum-norm n = 3 cells would split T's coefficient between its
         # two copies, and every n = 50 repetition would be rank deficient.

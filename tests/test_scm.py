@@ -838,7 +838,7 @@ class TestCommonRandomNumbers:
         ("grid.z_e = 0.1, 0.5", "grid.z_e = 0.1, 0.5, 1e308", {}),
         ("grid.z_e = 0.1, 0.5", "grid.z_e = -0.5, 0.1, -0.3, 0.5, -0.1, 0.3, 0.7",
          {"repetitions = 40": "repetitions = 100"}),
-        ("grid.z_e = 0.1, 7e153", "grid.z_e = 7e153", {"grid.z_e = 0.1, 0.5": "grid.z_e = 0.1, 7e153"}),
+        ("grid.z_e = 0.1, 5e307", "grid.z_e = 5e307", {"grid.z_e = 0.1, 0.5": "grid.z_e = 0.1, 5e307"}),
     ], ids=["grid-value-added", "grid-values-reordered", "one-grid-point-alone",
             "overflowing-outcome-added", "outcome-rows-resplit-a-block", "redrawn-outcome-alone"])
     def test_a_cell_is_the_same_whatever_the_other_grid_points(
@@ -849,12 +849,12 @@ class TestCommonRandomNumbers:
         # x repetitions x min(n, 12) values within the bound: at n = 5, 100 of
         # two rows but 28 of seven.  At 64 a block holds 5 to 64 repetitions
         # and a solve 1 to 64.  At n = 1 numpy makes a stacked product of one
-        # row a BLAS matrix-vector call.  An outcome row at z_e = 1e308 overflows on every
-        # draw, and leaves unsolved only its own grid point, which shares its
-        # design with the other two.  One at 7e153 overflows on some n = 5
-        # draws (in one block, 26 of the 40 first draws and 3 after three
-        # redraws), which are redrawn for it whether or not z_e = 0.1, which
-        # never overflows, shares its design.
+        # row a BLAS matrix-vector call.  An outcome row at z_e = 1e308 overflows on most
+        # draws from n = 5 on, and leaves unsolved only its own grid point,
+        # which shares its design with the other two.  One at 5e307 overflows
+        # on some n = 5 draws (in one block, 9 of the 40 first draws, and none
+        # after three redraws), which are redrawn for it whether or not
+        # z_e = 0.1, which never overflows, shares its design.
         monkeypatch.setattr(scm, "_BLOCK_VALUES", block_values)
         text = SMALL_CONFIG.replace("n = 5, 20", "n = 1, 5, 10, 50")
         for edit in edits.items():

@@ -522,17 +522,35 @@ class TestStackedLeastSquares:
             assert np.linalg.norm(expected) > 1e6
             assert np.linalg.norm(coef[k] - expected) <= 1e-4 * np.linalg.norm(expected)
 
+    def test_fewer_rows_than_parameters_drops_what_lstsq_drops(self):
+        # lstsq drops singular values at or below max(n, p)·eps times the
+        # largest.  A 2 x 6 design whose second one is 4·eps fails the dual
+        # pivot rule, and its pinv row keeps only the first, as lstsq does; a
+        # cutoff of min(n, p)·eps would keep both and give a solution near 1e15.
+        rng = np.random.default_rng(19)
+        left = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        right = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+        design = left @ np.diag([1.0, 4 * np.finfo(float).eps]) @ right.T
+        response = rng.standard_normal(2)
+        coef, solved = every_minimum_norm_coefficient(design.T[None], response[None])
+        expected = np.linalg.lstsq(design, response, rcond=None)[0]
+        assert solved.all()
+        assert np.linalg.norm(coef[0] - expected) <= 1e-10 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("n", [5, 10, 50], ids=["n<p", "n=10", "n=50"])
     def test_non_finite_designs_are_unsolved(self, monkeypatch, n):
-        # The sweep's shape: an intercept and five predictors.  Regressions
-        # 0-3 get one inf, NaN, 1e200 or 1e308 entry.  Regression 4 gets two
-        # columns at 1.3e154 in one row: each column's sum of squares is
-        # finite, the design's total is not.  Regression 5 has a finite
-        # design but an infinite outcome, so its coefficient is not finite.
-        # Below p, regression 6 has an outcome entry at 1e200: only that
-        # outcome's own sum of squares overflows.  Regression 7 has a design
-        # entry and an outcome entry at 1.2e154: each sum of squares is
-        # finite, that of the design and outcome together is not.
+        # The sweep's shape: an intercept and five predictors.  A regression
+        # is solved when its factor passed the pivot rule, or below p when
+        # ``pinv`` solved its design, and its coefficient is finite; ``pinv``
+        # gets no design whose sum of squares overflows.  Regressions 0-3 get
+        # one inf, NaN, 1e200 or 1e308 entry.  Regression 4 gets two columns
+        # at 1.3e154 in one row: each column's sum of squares is finite, the
+        # design's total is not.  Regression 5 has a finite design but an
+        # infinite outcome, so its coefficient is not finite.  Below p,
+        # regression 6 has an outcome entry at 1e200, whose sum of squares
+        # overflows, and regression 7 a design entry and an outcome entry at
+        # 1.2e154, whose sums of squares overflow only together.  Both are
+        # solved, as at n >= p, where no outcome's sum of squares is formed.
         rng = np.random.default_rng(15)
         clean = np.concatenate([np.ones((12, 1, n)), rng.standard_normal((12, 5, n))], axis=1)
         response = rng.standard_normal((12, n))
@@ -542,9 +560,9 @@ class TestStackedLeastSquares:
         design[4, 1:3, 1] = 1.3e154
         outcome = response.copy()
         outcome[5, 2] = np.inf
-        unsolved = 6
+        untouched = 6
         if n < 6:
-            outcome[6, 2], unsolved = 1e200, 8
+            outcome[6, 2], untouched = 1e200, 8
             design[7, 1, 3] = outcome[7, 3] = 1.2e154
         pinv, designs = np.linalg.pinv, []
 
@@ -560,11 +578,14 @@ class TestStackedLeastSquares:
             coef, solved = tracked_coefficient(design, outcome)
         # Of the finite designs, only regression 7's fails the dual pivot rule.
         assert designs == ([1] if n < 6 else [])
-        assert not solved[:unsolved].any()
+        assert not solved[:6].any()
         assert expected_solved.all()
-        assert solved[unsolved:].all()
-        assert coef[unsolved:].tobytes() == expected[unsolved:].tobytes()
+        assert solved[6:].all()
+        assert coef[untouched:].tobytes() == expected[untouched:].tobytes()
         assert np.isfinite(coef[solved]).all()
+        for k in range(6, untouched):
+            b = np.linalg.lstsq(design[k].T, outcome[k], rcond=None)[0][-1]
+            assert abs(coef[k] - b) <= 1e-12 * (1 + abs(b))
 
 
 def effort_designs(points: slice, n: int) -> np.ndarray:
@@ -649,6 +670,10 @@ class TestHpdi:
     def test_full_mass_is_min_max(self):
         assert hpdi([3.0, -1.0, 10.0], 1.0) == Interval(-1.0, 10.0, 1.0)
 
+    def test_mass_just_above_a_whole_count_takes_one_more_sample(self):
+        # 0.50001 of 10 samples is 5.0001, so the window holds 6 of them.
+        assert hpdi(range(10), 0.50001) == Interval(0.0, 5.0, 0.50001)
+
     def test_windows_wider_than_the_largest_float(self):
         # Both windows span more than 1.8e308; the later one is narrower.
         samples = [-1.7e308, -0.9e308, 0.5e308, 0.95e308]
@@ -657,12 +682,11 @@ class TestHpdi:
             assert hpdi([9.9e307, -1.1e308], 0.95) == Interval(-1.1e308, 9.9e307, 0.95)
 
     def test_errors(self):
-        with pytest.raises(StatsError):
+        with pytest.raises(StatsError, match="^hpdi requires at least one sample$"):
             hpdi([], 0.5)
-        with pytest.raises(StatsError):
-            hpdi([1.0], 0.0)
-        with pytest.raises(StatsError):
-            hpdi([1.0], 1.5)
+        for mass in [0.0, 1.5]:
+            with pytest.raises(StatsError, match=r"^mass must be in \(0, 1\]$"):
+                hpdi([1.0], mass)
 
     @settings(max_examples=100)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40), st.floats(0.05, 1.0))
@@ -711,6 +735,15 @@ class TestScaledMeanDiff:
             warnings.simplefilter("error")
             scaled = scaled_mean_diff(np.ldexp(values, exponent), labels, "t", "r")
         assert scaled == expected
+
+    def test_scale_follows_the_largest_magnitude(self):
+        # A group holding 0 beside values near 1e300: a scale taken from its
+        # smallest magnitude would leave the squared deviations to overflow.
+        values = [0.0, 1e300, 3e300, 0.0, 1.0, 3.0]
+        labels = ["t"] * 3 + ["r"] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scaled_mean_diff(values, labels, "t", "r") == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_groups(self):
         with pytest.raises(StatsError):
