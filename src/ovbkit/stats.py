@@ -3,13 +3,16 @@
 The regression here is plain ordinary least squares with analytic standard
 errors.  Every normal-equations solve, a single ``fit`` or a sweep's whole
 stack of small regressions, goes through one vectorised Cholesky
-factorization; a pivot ``diag(L)**2`` at or below 1e-10 times the largest
-diagonal entry of XtX counts as rank deficiency.  A sweep solves only the
-last coefficient of each regression, and every outcome of one design off one
-tall factor per draw: of XtX over the rows ytX, or, below p rows, of XXt over
-that column's xt and the rows yt at a cutoff of 1e-5, or else by ``pinv``,
-for the minimum-norm solution.  A coefficient is solved when it is finite and
-its factor or ``pinv`` solved it; ``pinv`` (LAPACK) sees no inf or NaN.
+factorization; a pivot ``L_jj**2`` at or below 1e-10 times its own column's
+entry of diag(XtX) counts as rank deficiency.  A ``fit`` reads everything off
+one tall factor, of XtX over ytX and the identity, which is L over zt and
+R = (L^-1)t: b = R z, and the standard errors come from the rows of R.  A
+sweep solves only the last coefficient of each regression, and every outcome
+of one design off one tall factor per draw: of XtX over the rows ytX, or,
+below p rows, of XXt over that column's xt and the rows yt at a cutoff of
+1e-5, or else by ``pinv``, for the minimum-norm solution.  A coefficient is
+solved when it is finite and its factor or ``pinv`` solved it; ``pinv``
+(LAPACK) sees no inf or NaN.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ __all__ = [
 _PIVOT_RTOL = 1e-10
 # The dual solve at n < p factors XXt, whose condition number is that of X
 # squared, so it needs a stricter cutoff than XtX.  At this one an accepted
-# solution agrees with ``lstsq`` to 1e-9 relative to its norm.  At 1e-10,
-# effort-model draws at n = 5 differed by up to 2.8e-2; at 1e-6, draws of
-# small random models by up to 2.4e-9.
+# solution agrees with ``lstsq`` to 1e-9 relative to its norm wherever lstsq's
+# cutoff drops no singular value.  Under a rule against the largest diagonal
+# entry, effort-model n = 5 draws differed by up to 2.8e-2 at 1e-10, and small
+# random models by 2.4e-9 at 1e-6; per column, the n = 5 draws agree to 5e-11
+# at any cutoff from 1e-4 to 1e-10.
 _DUAL_PIVOT_RTOL = 1e-5
 _TOO_LARGE = "values too large to fit"
 
@@ -226,20 +231,24 @@ class FitResult:
 
 
 def solve_normal_equations(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients and the lower Cholesky factor L of XtX = L Lt.
+    """Least-squares coefficients b and the upper triangular R with (XtX)^-1 = R Rt.
 
+    One tall factor gives both: XtX with ytX and the identity below it
+    factors into L with zt = (L^-1 Xty)t and R = (L^-1)t below, so b = R z.
     Raises :class:`StatsError` when XtX or Xty overflows, and
-    :class:`RankDeficiencyError` when a pivot ``diag(L)**2`` is not above
-    1e-10 times the largest diagonal entry of XtX.
+    :class:`RankDeficiencyError` when a pivot ``L_jj**2`` is not above
+    1e-10 times its column's (XtX)_jj.
     """
+    p = design.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram, moment = design.T @ design, design.T @ response
     if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
         raise StatsError(_TOO_LARGE)
-    lower, solved = _cholesky_factor(gram[None])
+    lower, solved = _cholesky_factor(np.vstack([gram, moment, np.eye(p)])[None])
     if not solved[0]:
         raise RankDeficiencyError("design matrix is rank deficient (collinear predictors)")
-    return _cholesky_substitute(lower, moment[None])[0], lower[0]
+    upper = lower[0, p + 1:]
+    return upper @ lower[0, p], upper
 
 
 def _tracked_coefficients(
@@ -286,36 +295,28 @@ def _cholesky_factor(gram: np.ndarray, rtol: float = _PIVOT_RTOL) -> tuple[np.nd
     """Lower Cholesky factors of a stack of symmetric matrices, and which passed.
 
     The factor is built one column at a time across the whole stack.  A
-    matrix fails when a pivot ``diag(L)**2`` is not above ``rtol`` times its
-    largest diagonal entry (or is not a number); from its first failed pivot
-    on, its factor continues as the identity so that the other matrices'
-    arithmetic stays finite.  LAPACK's Cholesky cannot be used here: one
-    failed matrix makes it raise for the whole stack.  A tall ``(r, p + k, p)``
-    stack, A with k rows Bt below, comes back as A's factor L with (L^-1 B)t below.
+    matrix A fails when a pivot ``L_jj**2`` is not above ``rtol`` times its own
+    A_jj (or is not a number): for XtX, when column j's 1 - R² on the columns
+    before it is not, which no change of units alters (as in R's ``lm.fit``).
+    From its first failed pivot on, its factor continues as the identity so
+    that the other matrices' arithmetic stays finite.  LAPACK's Cholesky cannot
+    be used here: one failed matrix makes it raise for the whole stack.  A tall
+    ``(r, p + k, p)`` stack, A with k rows Bt below, comes back as A's factor L
+    with (L^-1 B)t below.
     """
     r, _, p = gram.shape
-    floor = rtol * np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    floor = rtol * np.diagonal(gram, axis1=1, axis2=2)
     lower = np.zeros_like(gram)
     solved = np.ones(r, dtype=bool)
     for j in range(p):
         row = lower[:, j, :j]
         root = np.sqrt(np.maximum(gram[:, j, j] - np.einsum("ri,ri->r", row, row), 0.0))
-        solved &= root**2 > floor
+        solved &= root**2 > floor[:, j]
         pivot = np.where(solved, root, 1.0)
         lower[:, j, j] = pivot
         below = gram[:, j + 1:, j] - np.einsum("rij,rj->ri", lower[:, j + 1:, :j], row)
         lower[:, j + 1:, j] = np.where(solved[:, None], below / pivot[:, None], 0.0)
     return lower, solved
-
-
-def _cholesky_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``L Lt b = rhs`` for stacks of lower factors ``L`` and vectors ``rhs``."""
-    coef = np.empty_like(rhs)
-    for j in range(rhs.shape[1]):  # L z = rhs
-        coef[:, j] = (rhs[:, j] - np.einsum("ri,ri->r", lower[:, j, :j], coef[:, :j])) / lower[:, j, j]
-    for j in reversed(range(rhs.shape[1])):  # Lt b = z
-        coef[:, j] = (coef[:, j] - np.einsum("ri,ri->r", lower[:, j + 1:, j], coef[:, j + 1:])) / lower[:, j, j]
-    return coef
 
 
 def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult:
@@ -335,26 +336,23 @@ def ols_fit(data: Dataset, outcome: str, predictors: Sequence[str]) -> FitResult
     p = len(predictors) + 1
     if n <= p:
         raise StatsError(f"need more than {p} rows to fit {p} parameters, have {n}")
-    design = np.empty((n, p))
-    design[:, 0] = 1.0
-    for i, name in enumerate(predictors, start=1):
-        design[:, i] = data.column(name)
-    coef, lower = solve_normal_equations(design, y)
-    # Column k of (XtX)^-1 solves XtX b = e_k against the same factor.
-    inv = _cholesky_substitute(np.broadcast_to(lower, (p, p, p)), np.eye(p))
+    columns = {name: data.column(name) for name in predictors}
+    names = sorted(columns)  # one column order, so the fit does not depend on the order given
+    design = np.column_stack([np.ones(n), *(columns[name] for name in names)])
+    coef, upper = solve_normal_equations(design, y)
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = y - design @ coef
         sigma2 = float(residuals @ residuals) / (n - p)
-        variances = sigma2 * np.diag(inv)
+        variances = sigma2 * np.einsum("ij,ij->i", upper, upper)  # diag(R Rt)
     if not np.isfinite(variances).all():
         raise StatsError(_TOO_LARGE)
-    sigma = math.sqrt(sigma2)
+    index = {name: i for i, name in enumerate(names, start=1)}
     errors = np.sqrt(variances)
     return FitResult(
         intercept=float(coef[0]),
-        coefficients={name: float(c) for name, c in zip(predictors, coef[1:])},
-        std_errors={name: float(e) for name, e in zip(predictors, errors[1:])},
-        sigma=sigma,
+        coefficients={name: float(coef[index[name]]) for name in predictors},
+        std_errors={name: float(errors[index[name]]) for name in predictors},
+        sigma=math.sqrt(sigma2),
         n=n,
     )
 

@@ -5,7 +5,8 @@ explicit path enumeration, naive transitive closures, and exhaustive subset
 search.  Validity of an adjustment set is decided through the equivalent
 formulation "d-separated in the graph with the treatment's outgoing edges
 removed", which never touches the library's backdoor-path machinery.  Least
-squares is checked against LAPACK's Cholesky and solver, one design at a time.
+squares is checked against LAPACK's Cholesky and solver, one design at a time,
+and against exact rational solutions, which need no library at all.
 The sweep's Gram draws are checked against Grams of sampled noise rows, the
 noise map against a node-by-node sampler, and every solvable sweep draw of
 the effort model against the closed-form law of its treatment coefficient.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -140,16 +142,73 @@ def random_dag(
 
 def lapack_normal_equations(design: np.ndarray, response: np.ndarray) -> np.ndarray | None:
     """OLS coefficients of one ``(n, p)`` design through LAPACK's Cholesky, or
-    None when XtX is not positive definite or its smallest pivot ``diag(L)**2``
-    is at most 1e-10 times its largest diagonal entry."""
+    None when XtX is not positive definite or some pivot ``L_jj**2`` is at
+    most 1e-10 times its own column's diagonal entry ``(XtX)_jj``."""
     gram = design.T @ design
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         return None
-    if np.min(np.diag(lower)) ** 2 <= 1e-10 * np.max(np.diag(gram)):
+    if np.any(np.diag(lower) ** 2 <= 1e-10 * np.diag(gram)):
         return None
     return np.linalg.solve(lower.T, np.linalg.solve(lower, design.T @ response))
+
+
+def exact_least_squares(
+    design: np.ndarray, y: np.ndarray
+) -> tuple[list[Fraction], list[Fraction], Fraction] | None:
+    """Exact least squares of one ``(n, p)`` design and outcome, in rational
+    arithmetic: the coefficients, the diagonal of (XtX)^-1 and the residual
+    sum of squares, or None when the exact system is singular.  From p rows on
+    the coefficients solve XtX b = Xty; below p they are the minimum-norm
+    Xt (XXt)^-1 y, with no (XtX)^-1 (an empty diagonal) and no residual.
+
+    Every float is an integer over a power of two, so one common power of two
+    makes every value an integer and the products exact; the coefficients do
+    not change under that scale, and the diagonal and the residual are scaled
+    back exactly.
+    """
+    values = [v.as_integer_ratio() for v in np.concatenate([design.ravel(), y]).tolist()]
+    scale = max(den for _, den in values)  # every denominator divides it
+    ints = [num * (scale // den) for num, den in values]
+    n, p = design.shape
+    rows = [ints[i * p:(i + 1) * p] for i in range(n)]
+    ys = ints[n * p:]
+    if n >= p:
+        columns = list(zip(*rows))
+        gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in columns] for ci in columns]
+        moment = [sum(a * b for a, b in zip(c, ys)) for c in columns]
+        identity = [[int(i == j) for i in range(p)] for j in range(p)]
+        solution = _exact_solve(gram, [moment, *identity])
+        if solution is None:
+            return None
+        coef, *inverse = solution
+        # yty - bt Xty is the residual sum of squares, since XtX b = Xty.
+        rss = sum(v * v for v in ys) - sum(b * m for b, m in zip(coef, moment))
+        return coef, [inverse[j][j] * scale**2 for j in range(p)], Fraction(rss, scale**2)
+    gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rows] for ri in rows]
+    solution = _exact_solve(gram, [ys])
+    if solution is None:
+        return None
+    return [sum(w * row[j] for w, row in zip(solution[0], rows)) for j in range(p)], [], Fraction(0)
+
+
+def _exact_solve(matrix: list[list[int]], rhs: list[list[int]]) -> list[list[Fraction]] | None:
+    """Solutions x of ``matrix x = b`` for each vector b of ``rhs``, by
+    Gauss-Jordan elimination over Fractions, or None when ``matrix`` is singular."""
+    size = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in rhs] for i, row in enumerate(matrix)]
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if rows[r][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(size):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return [[rows[i][size + k] for i in range(size)] for k in range(len(rhs))]
 
 
 def row_sampled_grams(

@@ -806,6 +806,51 @@ class TestFitAndSmd:
         assert code == 1
         assert "rank deficient" in err
 
+    def test_fit_does_not_depend_on_predictor_order(self, capsys, tmp_path):
+        # b is 100 a plus a little noise: so nearly collinear that the last
+        # digits, and a rank rule not judged per column, could follow the order.
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=200)
+        b = 100 * a + 0.01 * rng.normal(size=200)
+        y = a + rng.normal(size=200)
+        csv_path = tmp_path / "near.csv"
+        csv_path.write_text("a,b,y\n" + "".join(f"{u!r},{v!r},{w!r}\n" for u, v, w in zip(
+            a.tolist(), b.tolist(), y.tolist())))
+        outputs = {}
+        for order in ("a,b", "b,a"):
+            for flag in ((), ("--json",)):
+                code, out, err = run(capsys, "fit", str(csv_path), "--outcome", "y",
+                                     "--predictors", order, *flag)
+                assert code == 0, err
+                outputs[order, flag] = out
+        # The JSON fits are equal, bit for bit; only the manifests' timestamps may differ.
+        payloads = [json.loads(outputs[order, ("--json",)]) for order in ("a,b", "b,a")]
+        assert [payload.pop("manifest")["command"] for payload in payloads] == ["fit", "fit"]
+        assert payloads[0] == payloads[1]
+        # The text lists the predictors in the order given, with the same numbers.
+        forward, backward = outputs["a,b", ()].splitlines(), outputs["b,a", ()].splitlines()
+        assert [line[:2] for line in backward[2:4]] == ["b:", "a:"]
+        assert sorted(forward) == sorted(backward)
+
+    def test_fit_does_not_depend_on_units(self, capsys, tmp_path):
+        # A 0/1 flag beside a column of mean 5e4 and sd 1e4 (cond(X) near
+        # 2.7e5): a pivot judged against XtX's largest diagonal entry would call
+        # the flag collinear; judged against its own column, the fit matches lstsq.
+        rng = np.random.default_rng(21)
+        flag = (rng.random(1000) < 0.5).astype(float)
+        x = 5e4 + 1e4 * rng.normal(size=1000)
+        y = 0.25 * flag + 1e-5 * x + rng.normal(size=1000)
+        csv_path = tmp_path / "units.csv"
+        csv_path.write_text("flag,x,y\n" + "".join(f"{u!r},{v!r},{w!r}\n" for u, v, w in zip(
+            flag.tolist(), x.tolist(), y.tolist())))
+        code, out, err = run(capsys, "fit", str(csv_path), "--outcome", "y",
+                             "--predictors", "flag,x", "--json")
+        assert code == 0, err
+        payload = json.loads(out)
+        expected = np.linalg.lstsq(np.column_stack([np.ones(1000), flag, x]), y, rcond=None)[0]
+        fitted = [payload["intercept"], payload["coefficients"]["flag"], payload["coefficients"]["x"]]
+        assert np.allclose(fitted, expected, rtol=1e-9, atol=0)
+
     @pytest.mark.parametrize("text", [
         "y,x\n1e200,1\n2e200,3\n-1e200,2\n5,7\n",
         "y,x\n1,1e200\n2,3e200\n-1,2e200\n5,7\n",

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import lapack_normal_equations
+from _oracles import exact_least_squares, lapack_normal_equations
 from ovbkit import stats
 from ovbkit.fixtures import fixture_text
 from ovbkit.scm import _draw_noise, _lift, _noise_map, _rng_from, parse_sweep_config
@@ -118,12 +120,20 @@ class TestValueGroups:
         assert values == [1.0, 2.5]
         assert labels == ["a", "b"]
 
+    def test_tags_are_kept_verbatim(self):
+        # Tags are free text: spaces and a quoted line break stay as written,
+        # so " a" and "a" are two groups.
+        values, labels = parse_value_groups(b'v,g\r\n1, a\r\n2,a\r\n3,"b\r\nc"\r\n', "v", "g")
+        assert values == [1.0, 2.0, 3.0]
+        assert labels == [" a", "a", "b\r\nc"]
+
     @pytest.mark.parametrize("text, message", [
         ("v,g\n1,a\n2,a,extra\n", "line 3: expected 2 fields, found 3"),
         ("v,v\n1,a\n", "duplicate column names"),
         ("v,g\n1,a\nnan,b\n", "line 3: non-finite value 'nan' in 'v'"),
         ("v,g\nhello,a\n", "line 2: non-numeric value 'hello' in 'v'"),
         ("v,h\n1,a\n", "unknown column 'g'"),
+        ("w,h\n1,a\n", "unknown column 'v'"),  # the value column is looked up first
         ("", "missing header row"),
     ])
     def test_same_rules_as_datasets(self, text, message):
@@ -151,20 +161,23 @@ class TestOls:
         assert fit.sigma < 1e-9
 
     def test_predictor_order_does_not_matter(self):
-        rng = np.random.default_rng(6)
-        data = make_dataset(
-            a=rng.normal(size=200),
-            b=rng.normal(size=200),
-            y=rng.normal(size=200),
-        )
-        forward = ols_fit(data, "y", ["a", "b"])
-        backward = ols_fit(data, "y", ["b", "a"])
-        for name in ("a", "b"):
-            assert forward.coefficients[name] == pytest.approx(backward.coefficients[name])
-            assert forward.std_errors[name] == pytest.approx(backward.std_errors[name])
-        assert json.dumps(forward.to_json_dict(), indent=2) == json.dumps(
-            backward.to_json_dict(), indent=2
-        )
+        # The design's columns are sorted by name, so every order of the same
+        # predictors gives the same bits; the results keep the order given.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            names = "abcd"[:int(rng.integers(2, 5))]
+            data = make_dataset(**{name: rng.normal(size=200) for name in names + "y"})
+            first = ols_fit(data, "y", list(names))
+            design = np.column_stack([np.ones(200), *(data.column(name) for name in names)])
+            coef = solve_normal_equations(design, data.column("y"))[0]  # names are sorted
+            assert [first.intercept, *first.coefficients.values()] == coef.tolist()
+            for order in itertools.permutations(names):
+                fit = ols_fit(data, "y", order)
+                assert list(fit.coefficients) == list(fit.std_errors) == list(order)
+                assert fit == first, (seed, order)
+                assert json.dumps(fit.to_json_dict(), indent=2) == json.dumps(
+                    first.to_json_dict(), indent=2
+                )
 
     def test_agrees_with_statsmodels(self):
         sm = pytest.importorskip("statsmodels.api")
@@ -219,16 +232,18 @@ class TestOls:
 
     def test_insufficient_rows(self):
         data = make_dataset(x=[1.0, 2.0], y=[1.0, 2.0])
-        with pytest.raises(StatsError):
+        with pytest.raises(StatsError, match="^need more than 2 rows to fit 2 parameters, have 2$"):
             ols_fit(data, "y", ["x"])
 
     def test_unknown_column_and_duplicates(self):
-        data = make_dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0])
-        with pytest.raises(StatsError):
-            ols_fit(data, "y", ["q"])
-        with pytest.raises(StatsError):
+        # Enough rows for any of these fits, so each error is the one named.
+        data = make_dataset(x=[1.0, 2.0, 3.0, 5.0, 4.0], z=[0.0, 1.0, 1.0, 0.0, 2.0],
+                            y=[1.0, 2.0, 3.0, 2.0, 1.0])
+        with pytest.raises(StatsError, match="^unknown column 'q'$"):
+            ols_fit(data, "y", ["z", "q", "p"])  # the first unknown one in the order given
+        with pytest.raises(StatsError, match="^duplicate predictor names$"):
             ols_fit(data, "y", ["x", "x"])
-        with pytest.raises(StatsError):
+        with pytest.raises(StatsError, match="^outcome cannot also be a predictor$"):
             ols_fit(data, "y", ["x", "y"])
 
     def test_json_key_order_is_stable(self):
@@ -271,11 +286,15 @@ FIT_SEEDS = range(200)
 SCALE_TOLERANCE = 3e-13
 SHIFT_TOLERANCES = (2e-13, 7e-15)  # coefficients, errors
 PERMUTE_TOLERANCES = (2e-13, 7e-15)  # coefficients, errors
+# Rescaling a predictor by 1e6 or 1e-6: 1.2e-14 and 2.8e-16, then 1.8e-14 and
+# 5.6e-16 over 2,000 designs (coefficients and errors); by a power of two, 0.
+RESCALE_TOLERANCES = (2e-13, 6e-15)  # coefficients, errors
 
 
 class TestOlsRelations:
     """Exact relations of least squares, checked fit by fit: scaling the
-    outcome, adding a multiple of a predictor to it, and permuting the rows."""
+    outcome, adding a multiple of a predictor to it, permuting the rows, and
+    rescaling a predictor."""
 
     def test_scaling_the_outcome_by_a_power_of_two_is_exact(self):
         for seed in FIT_SEEDS:
@@ -317,6 +336,49 @@ class TestOlsRelations:
             assert relative_error(permuted_coef, coef) <= PERMUTE_TOLERANCES[0], seed
             assert relative_error(permuted_errors, errors) <= PERMUTE_TOLERANCES[1], seed
 
+    def test_rescaling_a_predictor_divides_its_coefficient_and_error(self):
+        # A column in other units is the same regression: scaling predictor j
+        # by c divides b_j and its standard error by c and leaves the rest,
+        # exactly when c is a power of two.  So the rank rule may not depend on
+        # the columns' units either.
+        rng = np.random.default_rng(3)
+        for seed in FIT_SEEDS:
+            design, y, names = random_fit_data(seed)
+            coef, errors = fit_vectors(design, y, names)
+            j = int(rng.integers(1, design.shape[1]))  # a predictor, not the intercept
+            for c in (2.0 ** int(rng.integers(-60, 61)), 1e6, 1e-6):
+                scaled = design.copy()
+                scaled[:, j] *= c
+                scaled_coef, scaled_errors = fit_vectors(scaled, y, names)
+                scaled_coef[j] *= c
+                scaled_errors[j - 1] *= c  # the errors have no intercept entry
+                if c in (1e6, 1e-6):
+                    assert relative_error(scaled_coef, coef) <= RESCALE_TOLERANCES[0], seed
+                    assert relative_error(scaled_errors, errors) <= RESCALE_TOLERANCES[1], seed
+                else:
+                    assert np.array_equal(scaled_coef, coef), (seed, c)
+                    assert np.array_equal(scaled_errors, errors), (seed, c)
+
+
+# Worst error of ``ols_fit`` against exact rational least squares on the
+# designs of FIT_SEEDS, relative to 1 + |exact|: 2.0e-14 for the coefficients,
+# 3.5e-16 for the standard errors and sigma.  About ten times that, fixed.
+EXACT_TOLERANCES = (2e-13, 4e-15)  # coefficients; errors and sigma
+
+
+class TestOlsExact:
+    def test_matches_exact_rational_least_squares(self):
+        for seed in FIT_SEEDS:
+            design, y, names = random_fit_data(seed)
+            coef, errors = fit_vectors(design, y, names)
+            exact, inverse_diagonal, rss = exact_least_squares(design, y)
+            variance = rss / (len(y) - design.shape[1])
+            exact_errors = [math.sqrt(variance * d) for d in inverse_diagonal[1:]]
+            assert relative_error(coef, np.array([float(b) for b in exact])) \
+                <= EXACT_TOLERANCES[0], seed
+            assert relative_error(errors, np.array([*exact_errors, math.sqrt(variance)])) \
+                <= EXACT_TOLERANCES[1], seed
+
 
 def _near_collinear_design(rng, n: int, p: int) -> np.ndarray:
     """A transposed (p, n) design: an intercept row and normal rows, where
@@ -352,16 +414,26 @@ class TestSolveNormalEquations:
                     with pytest.raises(RankDeficiencyError, match="rank deficient"):
                         solve_normal_equations(design.T, response)
                     continue
-                coef, lower = solve_normal_equations(design.T, response)
+                coef, upper = solve_normal_equations(design.T, response)
                 gram = design @ design.T
-                assert np.array_equal(lower, np.tril(lower))
-                assert np.abs(lower @ lower.T - gram).max() <= 1e-12 * np.abs(gram).max()
+                cond = np.linalg.cond(gram)
+                # (XtX)^-1 = R Rt, so Rt XtX R is the identity; the worst
+                # measured over the solved designs was 6.2e-16 x cond(XtX).
+                assert np.array_equal(upper, np.triu(upper))
+                assert np.abs(upper.T @ gram @ upper - np.eye(p)).max() <= 6e-15 * cond
                 # Both solvers are backward stable, so they may differ by about
                 # eps times the condition number of XtX, which reaches 1e10
                 # just inside the pivot rule.
-                bound = 1e-14 * np.linalg.cond(gram) * np.linalg.norm(expected)
+                bound = 1e-14 * cond * np.linalg.norm(expected)
                 assert np.linalg.norm(coef - expected) <= bound, (n, p)
         assert min(outcomes.values()) > 2_000
+
+
+    def test_overflowing_moments_are_too_large(self):
+        # XtX is finite, Xty is not: the solve is refused before any factor.
+        design = np.column_stack([np.ones(4), [1e150, 3e150, 2e150, 7.0]])
+        with pytest.raises(StatsError, match="^values too large to fit$"):
+            solve_normal_equations(design, np.array([1e160, 2e160, -1e160, 5.0]))
 
 
 def tall_moments(design: np.ndarray, response: np.ndarray) -> np.ndarray:
@@ -576,14 +648,21 @@ class TestStackedLeastSquares:
             warnings.simplefilter("error")
             expected, expected_solved = tracked_coefficient(clean, response)
             coef, solved = tracked_coefficient(design, outcome)
-        # Of the finite designs, only regression 7's fails the dual pivot rule.
-        assert designs == ([1] if n < 6 else [])
+        # Every finite design passes the pivot rule, each pivot judged against
+        # its own column; the non-finite ones are kept from ``pinv``.
+        assert designs == []
         assert not solved[:6].any()
         assert expected_solved.all()
         assert solved[6:].all()
         assert coef[untouched:].tobytes() == expected[untouched:].tobytes()
         assert np.isfinite(coef[solved]).all()
         for k in range(6, untouched):
+            b = float(exact_least_squares(design[k].T, outcome[k])[0][-1])
+            assert abs(coef[k] - b) <= 1e-12 * (1 + abs(b))
+        # ``lstsq`` agrees on regression 6.  On regression 7 its cutoff, relative
+        # to the largest singular value (near 1.2e154), drops the other four, so
+        # it solves a rank-1 system: its b_T is near 0, the exact one 0.588.
+        for k in range(6, untouched - 1):
             b = np.linalg.lstsq(design[k].T, outcome[k], rcond=None)[0][-1]
             assert abs(coef[k] - b) <= 1e-12 * (1 + abs(b))
 
@@ -627,6 +706,31 @@ class TestDualSolve:
         for k in accepted:
             expected = np.linalg.lstsq(values[k, :-1].T, values[k, -1], rcond=None)[0]
             assert np.linalg.norm(coef[k] - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("gap, fallbacks", [(3e-6, 1), (3e-5, 0)])
+    def test_dual_cutoff_is_1e_5_of_each_samples_own_square(self, monkeypatch, gap, fallbacks):
+        # Two samples of six parameters: the second is the first plus a part
+        # orthogonal to it, so 1 - R² of the second on the first is ``gap``.
+        # The first is 1e3 times larger, which a cutoff against XXt's largest
+        # diagonal entry would see; against each sample's own, only ``gap``
+        # decides whether the design takes ``pinv``.
+        rng = np.random.default_rng(20)
+        first, other = rng.standard_normal((2, 6))
+        other -= (other @ first) / (first @ first) * first
+        second = first + math.sqrt(gap / (1 - gap)) * np.linalg.norm(first) / np.linalg.norm(other) * other
+        design, response = np.stack([1e3 * first, second]), rng.standard_normal(2)
+        pinv, designs = np.linalg.pinv, []
+
+        def recorded(a, *args, **kwargs):
+            designs.append(len(a))
+            return pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", recorded)
+        coef, solved = tracked_coefficient(design.T[None], response[None])
+        assert len(designs) == fallbacks
+        expected = np.linalg.lstsq(design, response, rcond=None)[0]
+        assert solved.all()
+        assert abs(coef[0] - expected[-1]) <= 1e-9 * np.linalg.norm(expected)
 
     def test_constant_bernoulli_columns_take_pinv(self, monkeypatch):
         # Design rows [1, T, B, K, O, S].  In the first design B is 1 and K
